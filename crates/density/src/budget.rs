@@ -20,7 +20,7 @@
 use crate::{DensityMap, FixedDissection};
 use pilfill_geom::CellIndex;
 use pilfill_solver::{Model, Objective, Sense, SolveError};
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Error from fill budgeting.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,14 +189,14 @@ pub fn lp_budget(
     Ok(FillBudget::new(&dis, features))
 }
 
-/// A heap entry of the budget loop's lazy priority queue. The `BinaryHeap`
+/// A heap entry of the budget loop's priority queue. The `BinaryHeap`
 /// max-heap pops the *smallest* `(density, window)` because the `Ord` below
-/// is reversed; `version` marks entries stale (not part of the ordering).
+/// is reversed. `density` is the window's density when it was last keyed;
+/// densities only grow, so it is a lower bound on the live value.
 #[derive(Debug, Clone, Copy)]
 struct NeediestWindow {
     density: f64,
     wi: usize,
-    version: u64,
 }
 
 impl Ord for NeediestWindow {
@@ -230,13 +230,32 @@ impl Eq for NeediestWindow {}
 /// remaining slack, subject to no window exceeding `upper_bound`. Stops
 /// when no minimum-density window can accept more fill.
 ///
-/// The neediest window is tracked with a lazy min-heap (densities only
-/// ever increase, so stale entries sort at or before their window's live
-/// entry and are discarded on pop by a version check), making each of the
-/// `total()` iterations O(log W) instead of an O(W) scan.
+/// Each placed feature costs O(r²) plus O(log W) heap work, for W
+/// windows, and the loop allocates nothing beyond its per-tile and
+/// per-window arrays. Three invariants make that possible:
 ///
-/// Deterministic: ties break towards lower tile index, and the heap's
-/// tie-break reproduces the historical linear scan exactly.
+/// - **Monotone blocked tiles.** A tile is blocked once any window
+///   covering it would exceed `upper_bound` after one more feature.
+///   Window fill only grows, so a tile never unblocks. Blocking zeroes
+///   the tile's remaining slack, once per window: a window over the bound
+///   has only blocked tiles, so its fill never changes again. "Remaining
+///   slack > 0" is therefore exactly the historical "slack left and every
+///   covering window stays within the bound" test.
+/// - **Re-keying on pop.** Every live window has exactly one heap entry,
+///   keyed by its density when last keyed. Placing a feature re-keys only
+///   the chosen window; the other covering windows keep their stale,
+///   lower keys. A top entry whose key is below its window's live density
+///   is re-keyed in place and sifted down. An up-to-date top entry is
+///   therefore the lexicographic `(density, window)` minimum over all
+///   live windows — the first minimum of the historical linear scan.
+/// - **Implicit adjacency.** Window `wi` is anchored at tile
+///   `(wi % wx, wi / wx)` (row-major, as [`FixedDissection::windows`]
+///   yields them) and spans the `r × r` tiles above and to the right, so a
+///   window's tiles and a tile's covering windows are anchor arithmetic.
+///
+/// A window none of whose tiles can take a feature leaves the heap for
+/// good: other windows' fill only raises densities and blocks tiles, never
+/// frees capacity. Deterministic: ties break towards lower tile index.
 ///
 /// # Errors
 ///
@@ -252,103 +271,90 @@ pub fn montecarlo_budget(
     let dis = *existing.dissection();
     let grid = dis.tiles();
     let nx = grid.nx();
-    let n = grid.len();
-    let windows: Vec<_> = dis.windows().collect();
+    let r = dis.r();
+    // Window anchors per row and per column.
+    let wx = nx.saturating_sub(r - 1);
+    let wy = grid.ny().saturating_sub(r - 1);
 
-    // Window areas and current feature areas.
-    let w_area: Vec<f64> = windows
-        .iter()
-        .map(|&w| dis.window_rect(w).area() as f64)
+    let w_area: Vec<f64> = dis
+        .windows()
+        .map(|w| dis.window_rect(w).area() as f64)
         .collect();
-    let mut w_fill: Vec<f64> = windows
-        .iter()
-        .map(|&w| existing.window_area(w) as f64)
+    let mut w_fill: Vec<f64> = dis
+        .windows()
+        .map(|w| existing.window_area(w) as f64)
         .collect();
-    // Windows covering each tile, and tiles of each window, flattened once
-    // so the per-feature hot loop never re-derives grid arithmetic.
-    let mut windows_of_tile: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut tiles_of_window: Vec<Vec<usize>> = vec![Vec::new(); windows.len()];
-    for (wi, w) in windows.iter().enumerate() {
-        for (ix, iy) in w.tiles() {
-            windows_of_tile[iy * nx + ix].push(wi);
-            tiles_of_window[wi].push(iy * nx + ix);
+    debug_assert_eq!(w_area.len(), wx * wy);
+
+    let fa = feature_area as f64;
+    let mut remaining: Vec<u32> = slack.to_vec();
+    let mut budget = vec![0u32; grid.len()];
+    // The historical acceptance check `after <= upper_bound.max(current)
+    // && after <= upper_bound` collapses to `after <= upper_bound`, with
+    // `after = (w_fill + fa) / w_area` computed from the same operands in
+    // the same order, so `exceeds` is its exact negation (the quotient is
+    // never NaN, as `fa > 0`).
+    let exceeds = |fill: f64, area: f64| (fill + fa) / area > upper_bound;
+    // A blocked tile can never take another feature, so blocking it
+    // zeroes its remaining slack.
+    let block_window = |remaining: &mut [u32], wi: usize| {
+        let (ax, ay) = (wi % wx, wi / wx);
+        for iy in ay..ay + r {
+            remaining[iy * nx + ax..iy * nx + ax + r].fill(0);
+        }
+    };
+    for wi in 0..w_area.len() {
+        if exceeds(w_fill[wi], w_area[wi]) {
+            block_window(&mut remaining, wi);
         }
     }
 
-    let mut remaining: Vec<u32> = slack.to_vec();
-    let mut budget = vec![0u32; n];
-    let fa = feature_area as f64;
-    let mut stuck = vec![false; windows.len()];
-
-    // Cached density-after-one-more-feature per window. The historical
-    // acceptance check `after <= upper_bound.max(current) && after <=
-    // upper_bound` collapses to `after <= upper_bound` (the max only ever
-    // raises the first bound), and `after` is the same quotient
-    // `(w_fill + fa) / w_area` recomputed here whenever `w_fill` changes —
-    // identical operands and order, so the cached compare is bit-identical
-    // to dividing inside the filter.
-    let mut d_after: Vec<f64> = (0..windows.len())
-        .map(|wi| (w_fill[wi] + fa) / w_area[wi])
-        .collect();
-
-    // Lazy min-heap over (density, window). Every non-stuck window has
-    // exactly one live entry (the one whose `version` matches); entries
-    // left behind by density updates are stale and skipped on pop.
-    let mut version = vec![0u64; windows.len()];
-    let mut heap: BinaryHeap<NeediestWindow> = (0..windows.len())
+    let mut heap: BinaryHeap<NeediestWindow> = (0..w_area.len())
         .map(|wi| NeediestWindow {
             density: w_fill[wi] / w_area[wi],
             wi,
-            version: 0,
         })
         .collect();
 
-    while let Some(entry) = heap.pop() {
-        let wi = entry.wi;
-        if stuck[wi] || entry.version != version[wi] {
+    // The top is re-keyed in place: dropping a modified `PeekMut` sifts
+    // it down, one sift instead of a pop and a push.
+    while let Some(mut top) = heap.peek_mut() {
+        let wi = top.wi;
+        let density = w_fill[wi] / w_area[wi];
+        if top.density.total_cmp(&density).is_lt() {
+            top.density = density;
             continue;
         }
 
-        // Best tile in that window: most remaining slack, addition must not
-        // push any covering window above the bound (never above it unless
-        // it already exceeded the bound from drawn features alone — then
-        // fill there is simply forbidden).
-        let candidate = tiles_of_window[wi]
-            .iter()
-            .copied()
-            .filter(|&t| remaining[t] > 0)
-            .filter(|&t| {
-                windows_of_tile[t]
-                    .iter()
-                    .all(|&cw| d_after[cw] <= upper_bound)
-            })
-            .max_by_key(|&t| (remaining[t], std::cmp::Reverse(t)));
-
-        match candidate {
-            Some(t) => {
-                remaining[t] -= 1;
-                budget[t] += 1;
-                // Stuck windows stay stuck: adding fill elsewhere only
-                // raises densities, never creates new capacity, so this is
-                // sound. The chosen tile lies inside window `wi`, so `wi`
-                // itself is refreshed here and stays in the heap.
-                for &cw in &windows_of_tile[t] {
-                    w_fill[cw] += fa;
-                    d_after[cw] = (w_fill[cw] + fa) / w_area[cw];
-                    version[cw] += 1;
-                    if !stuck[cw] {
-                        heap.push(NeediestWindow {
-                            density: w_fill[cw] / w_area[cw],
-                            wi: cw,
-                            version: version[cw],
-                        });
-                    }
+        // Best tile in that window: most remaining slack, ties towards the
+        // lower index (tiles are visited in increasing index order).
+        let (ax, ay) = (wi % wx, wi / wx);
+        let (mut most, mut t) = (0, 0);
+        for iy in ay..ay + r {
+            let row = iy * nx + ax;
+            for (tile, &left) in (row..).zip(&remaining[row..row + r]) {
+                if left > most {
+                    (most, t) = (left, tile);
                 }
             }
-            None => {
-                stuck[wi] = true;
+        }
+        if most == 0 {
+            PeekMut::pop(top);
+            continue;
+        }
+
+        remaining[t] -= 1;
+        budget[t] += 1;
+        let (tx, ty) = (t % nx, t / nx);
+        for cy in ty.saturating_sub(r - 1)..=ty.min(wy - 1) {
+            for cw in cy * wx + tx.saturating_sub(r - 1)..=cy * wx + tx.min(wx - 1) {
+                w_fill[cw] += fa;
+                if exceeds(w_fill[cw], w_area[cw]) {
+                    block_window(&mut remaining, cw);
+                }
             }
         }
+        top.density = w_fill[wi] / w_area[wi];
     }
 
     Ok(FillBudget::new(&dis, budget))
@@ -360,6 +366,8 @@ mod tests {
     use crate::FixedDissection;
     use pilfill_geom::{Dir, Point, Rect};
     use pilfill_layout::{DesignBuilder, LayerId};
+    use pilfill_prng::rngs::StdRng;
+    use pilfill_prng::{Rng, SeedableRng};
 
     const FEATURE_AREA: i64 = 160_000; // 400 x 400
 
@@ -456,7 +464,7 @@ mod tests {
     }
 
     /// The pre-heap linear-scan budget loop, kept verbatim as the
-    /// reference the lazy heap must reproduce bit-for-bit.
+    /// reference `montecarlo_budget` must reproduce bit-for-bit.
     fn montecarlo_budget_by_scan(
         existing: &DensityMap,
         slack: &[u32],
@@ -527,6 +535,75 @@ mod tests {
                 assert_eq!(heap, scan, "slack {per_tile}, bound {ub}");
             }
         }
+    }
+
+    /// A seeded random budgeting case at dissection `r`: a die that is not
+    /// a multiple of the tile size (clipped edge tiles, so smaller window
+    /// areas), tile areas up to a random share of each tile, slack with
+    /// about a third zeros, and a bound in 0.05..=1.0. Bounds are multiples
+    /// of 1/20 and, in half the cases, tile areas multiples of a quarter
+    /// feature, so full windows land exactly on the bound.
+    fn random_case(rng: &mut StdRng, r: usize) -> (DensityMap, Vec<u32>, f64) {
+        const TILE: i64 = 2_000;
+        let window = TILE * r as i64;
+        let mut side = || {
+            let tiles = rng.gen_range(r..2 * r + 2) as i64;
+            tiles * TILE + rng.gen_range(1..TILE)
+        };
+        let die = Rect::new(0, 0, side(), side());
+        let dis = FixedDissection::new(die, window, r).expect("dissection");
+        let grid = dis.tiles();
+        let fullness = rng.gen_range(0.0f64..1.0);
+        let quantum = if rng.gen_bool(0.5) {
+            FEATURE_AREA / 4
+        } else {
+            1
+        };
+        let mut map = DensityMap::zeros(&dis);
+        map.add_tile_areas(grid.indices().map(|cell| {
+            let max = (grid.cell_rect(cell).area() as f64 * fullness) as i64;
+            (cell, rng.gen_range(0..=max / quantum) * quantum)
+        }));
+        let slack = (0..grid.len())
+            .map(|_| {
+                if rng.gen_bool(0.35) {
+                    0
+                } else {
+                    rng.gen_range(1u32..12)
+                }
+            })
+            .collect();
+        let bound = f64::from(rng.gen_range(1u32..=20)) / 20.0;
+        (map, slack, bound)
+    }
+
+    #[test]
+    fn budget_matches_linear_scan_reference_across_r() {
+        let mut rng = StdRng::seed_from_u64(0xB0D6_0001);
+        let (mut pre_violating, mut filled) = (0, 0);
+        for r in [1usize, 2, 3, 4, 8] {
+            for case in 0..24 {
+                let (map, slack, bound) = random_case(&mut rng, r);
+                let dis = *map.dissection();
+                let clipped = dis
+                    .windows()
+                    .any(|w| dis.window_rect(w).area() < dis.window_size() * dis.window_size());
+                assert!(clipped, "r {r} case {case}: no clipped window");
+                if dis.windows().any(|w| map.window_density(w) > bound) {
+                    pre_violating += 1;
+                }
+                let fast = montecarlo_budget(&map, &slack, FEATURE_AREA, bound).expect("mc");
+                let scan = montecarlo_budget_by_scan(&map, &slack, FEATURE_AREA, bound);
+                assert_eq!(fast, scan, "r {r} case {case}, bound {bound}");
+                if fast.total() > 0 {
+                    filled += 1;
+                }
+            }
+        }
+        // The sweep must exercise both the initial blocked marking and
+        // real fill.
+        assert!(pre_violating > 10, "{pre_violating} pre-violating cases");
+        assert!(filled > 10, "{filled} cases received fill");
     }
 
     #[test]

@@ -9,24 +9,26 @@ use pilfill_prng::{Rng, SeedableRng};
 
 const FEATURE_AREA: i64 = 90_000; // 300 x 300
 
-fn dissection() -> FixedDissection {
-    FixedDissection::new(Rect::new(0, 0, 24_000, 24_000), 8_000, 2).expect("dissection")
+fn dissection(r: usize) -> FixedDissection {
+    FixedDissection::new(Rect::new(0, 0, 24_000, 24_000), 8_000, r).expect("dissection")
 }
 
-/// A random density map: arbitrary per-tile areas within the tile size.
-fn rand_map(rng: &mut StdRng) -> DensityMap {
-    let dis = dissection();
+/// A random density map at dissection `r`: arbitrary per-tile areas up to
+/// half the tile size.
+fn rand_map(rng: &mut StdRng, r: usize) -> DensityMap {
+    let dis = dissection(r);
     let mut map = DensityMap::zeros(&dis);
     let nx = dis.tiles().nx();
+    let half_tile = dis.tile_size() * dis.tile_size() / 2;
     map.add_tile_areas((0..dis.tiles().len()).map(|i| {
         let cell = (i % nx, i / nx);
-        (cell, rng.gen_range(0i64..8_000_000))
+        (cell, rng.gen_range(0i64..half_tile))
     }));
     map
 }
 
-fn rand_slack(rng: &mut StdRng) -> Vec<u32> {
-    (0..dissection().tiles().len())
+fn rand_slack(rng: &mut StdRng, r: usize) -> Vec<u32> {
+    (0..dissection(r).tiles().len())
         .map(|_| rng.gen_range(0u32..60))
         .collect()
 }
@@ -35,7 +37,7 @@ fn rand_slack(rng: &mut StdRng) -> Vec<u32> {
 fn window_area_matches_brute_force() {
     let mut rng = StdRng::seed_from_u64(0xDE_0001);
     for _ in 0..48 {
-        let map = rand_map(&mut rng);
+        let map = rand_map(&mut rng, 2);
         let dis = *map.dissection();
         for w in dis.windows() {
             let brute: i64 = w.tiles().map(|c| map.tile_area(c)).sum();
@@ -48,7 +50,7 @@ fn window_area_matches_brute_force() {
 fn analysis_bounds_are_consistent() {
     let mut rng = StdRng::seed_from_u64(0xDE_0002);
     for _ in 0..48 {
-        let map = rand_map(&mut rng);
+        let map = rand_map(&mut rng, 2);
         let a = map.analyze();
         assert!(a.min_window_density <= a.mean_window_density + 1e-12);
         assert!(a.mean_window_density <= a.max_window_density + 1e-12);
@@ -59,35 +61,37 @@ fn analysis_bounds_are_consistent() {
 #[test]
 fn montecarlo_budget_invariants() {
     let mut rng = StdRng::seed_from_u64(0xDE_0003);
-    for _ in 0..48 {
-        let map = rand_map(&mut rng);
-        let slack = rand_slack(&mut rng);
-        let bound = rng.gen_range(0.1f64..0.6);
-        let budget = montecarlo_budget(&map, &slack, FEATURE_AREA, bound).expect("mc");
-        let dis = *map.dissection();
-        let nx = dis.tiles().nx();
-        // Slack respected.
-        for (cell, f) in budget.iter() {
-            assert!(f <= slack[cell.1 * nx + cell.0]);
-        }
-        // Window bound respected for added fill (windows already above the
-        // bound receive nothing extra beyond it).
-        let mut after = map.clone();
-        after.add_tile_areas(
-            budget
-                .iter()
-                .map(|(cell, f)| (cell, f as i64 * FEATURE_AREA)),
-        );
-        for w in dis.windows() {
-            let before_d = map.window_density(w);
-            let after_d = after.window_density(w);
-            assert!(
-                after_d <= bound.max(before_d) + 1e-9,
-                "window over bound: {before_d} -> {after_d} (bound {bound})"
+    for r in [2, 4, 8] {
+        for _ in 0..48 {
+            let map = rand_map(&mut rng, r);
+            let slack = rand_slack(&mut rng, r);
+            let bound = rng.gen_range(0.1f64..0.6);
+            let budget = montecarlo_budget(&map, &slack, FEATURE_AREA, bound).expect("mc");
+            let dis = *map.dissection();
+            let nx = dis.tiles().nx();
+            // Slack respected.
+            for (cell, f) in budget.iter() {
+                assert!(f <= slack[cell.1 * nx + cell.0]);
+            }
+            // Window bound respected for added fill (windows already above
+            // the bound receive nothing extra beyond it).
+            let mut after = map.clone();
+            after.add_tile_areas(
+                budget
+                    .iter()
+                    .map(|(cell, f)| (cell, f as i64 * FEATURE_AREA)),
             );
+            for w in dis.windows() {
+                let before_d = map.window_density(w);
+                let after_d = after.window_density(w);
+                assert!(
+                    after_d <= bound.max(before_d) + 1e-9,
+                    "r {r}: window over bound: {before_d} -> {after_d} (bound {bound})"
+                );
+            }
+            // Monotone improvement of the minimum.
+            assert!(after.analyze().min_window_density + 1e-12 >= map.analyze().min_window_density);
         }
-        // Monotone improvement of the minimum.
-        assert!(after.analyze().min_window_density + 1e-12 >= map.analyze().min_window_density);
     }
 }
 
@@ -95,7 +99,7 @@ fn montecarlo_budget_invariants() {
 fn lp_budget_never_worse_min_density_than_mc() {
     let mut rng = StdRng::seed_from_u64(0xDE_0004);
     for _ in 0..24 {
-        let map = rand_map(&mut rng);
+        let map = rand_map(&mut rng, 2);
         let bound = rng.gen_range(0.2f64..0.5);
         // Uniform generous slack so the LP is exercised, small grid.
         let slack = vec![40u32; map.dissection().tiles().len()];

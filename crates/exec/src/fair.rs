@@ -648,9 +648,25 @@ fn dispatcher_loop(shared: &FairShared, pool: &WorkerPool, quota: usize) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::{Duration, Instant};
 
     fn spin_work(i: usize) -> u64 {
         std::hint::black_box((0..200u64).fold(i as u64, |a, x| a ^ x.wrapping_mul(31)))
+    }
+
+    /// Yields until `done()` holds. Panics with the pool's observed
+    /// `inflight()` after 60 s, so a scheduling race fails the test
+    /// instead of hanging it.
+    fn spin_until(fair: &FairPool, what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !done() {
+            assert!(
+                Instant::now() < deadline,
+                "timed out waiting for {what}: inflight() = {}",
+                fair.inflight()
+            );
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -730,14 +746,12 @@ mod tests {
         std::thread::scope(|s| {
             let occupant = s.spawn(|| {
                 fair.with_pool(|_| {
-                    while hold.load(Ordering::Relaxed) {
-                        std::thread::yield_now();
-                    }
+                    spin_until(&fair, "release of the occupant", || {
+                        !hold.load(Ordering::Relaxed)
+                    });
                 })
             });
-            while fair.inflight() < 1 {
-                std::thread::yield_now();
-            }
+            spin_until(&fair, "the occupant's admission", || fair.inflight() >= 1);
             let got = fair.run(8, |_| {});
             assert!(matches!(got, Err(FairError::Busy { inflight: 1 })));
             hold.store(false, Ordering::Relaxed);
@@ -777,15 +791,23 @@ mod tests {
         // completion.
         let fair = FairPool::with_options(FairOptions::new(2).quota(4).batch_log(true));
         let hold = AtomicBool::new(true);
+        let started = AtomicBool::new(false);
         std::thread::scope(|s| {
             // Occupy the dispatcher until every request is enqueued, so
-            // the rotation starts with all nine waiting.
+            // the rotation starts with all nine waiting. The blocker's
+            // exclusive turn must have begun before any other request is
+            // submitted: otherwise a small request can be dispatched and
+            // finish first, and `inflight()` never reaches 10.
             let blocker = s.spawn(|| {
                 fair.with_pool(|_| {
-                    while hold.load(Ordering::Relaxed) {
-                        std::thread::yield_now();
-                    }
+                    started.store(true, Ordering::Relaxed);
+                    spin_until(&fair, "release of the blocker", || {
+                        !hold.load(Ordering::Relaxed)
+                    });
                 })
+            });
+            spin_until(&fair, "the blocker's turn", || {
+                started.load(Ordering::Relaxed)
             });
             let large = s.spawn(|| {
                 fair.run(64, |i| {
@@ -801,9 +823,9 @@ mod tests {
                     })
                 })
                 .collect();
-            while fair.inflight() < 10 {
-                std::thread::yield_now();
-            }
+            spin_until(&fair, "all ten requests in flight", || {
+                fair.inflight() >= 10
+            });
             hold.store(false, Ordering::Relaxed);
             let large_run = large.join().unwrap().unwrap();
             let small_runs: Vec<FairRun> = smalls

@@ -19,8 +19,14 @@ cargo run -q -p xtask -- lint --deny-warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test"
-cargo test -q --workspace
+# Bounded so a hung test fails the job in minutes, not at the runner's
+# six-hour limit.
+echo "==> cargo test (30 min limit)"
+timeout 30m cargo test -q --workspace || {
+  status=$?
+  [ "$status" -ne 124 ] || echo "==> cargo test step timed out after 30 min (a test hangs)"
+  exit "$status"
+}
 
 # Concurrency gates. The bounded model checker explores the pool's
 # protocol invariants (epoch publication, cursor claiming, slot merges,
