@@ -120,6 +120,18 @@ impl CapTable {
         Self { entries }
     }
 
+    /// Wraps explicit values `entries[m] = f(m)` for `m = 0..=capacity`,
+    /// for cost curves that do not come from a [`CouplingModel`] (e.g.
+    /// hand-built non-convex tables in solver tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` is empty.
+    pub fn from_entries(entries: Vec<f64>) -> Self {
+        assert!(!entries.is_empty(), "a cap table needs the m = 0 entry");
+        Self { entries }
+    }
+
     /// Incremental capacitance for `m` features.
     ///
     /// # Panics

@@ -28,6 +28,12 @@ timeout 30m cargo test -q --workspace || {
   exit "$status"
 }
 
+# The benchmark is a workspace of its own (perfbench/Cargo.toml), so the
+# step above never compiles it, although it builds against the library's
+# public API. Its tests drive the release CLI built above.
+echo "==> perfbench tests"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 # Concurrency gates. The bounded model checker explores the pool's
 # protocol invariants (epoch publication, cursor claiming, slot merges,
 # gate streaming, panic propagation) under a fixed seed and budget; its
