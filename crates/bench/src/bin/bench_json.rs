@@ -11,13 +11,14 @@
 //!
 //! - `--quick`: a small design and minimal sample counts — a CI smoke run
 //!   that checks the harness end-to-end in seconds, not a measurement.
-//! - `--threads-sweep`: additionally emit `flow/run_parallelN_ilp2_t2`
-//!   and `flow/context_build_parallelN_t2` for N in {1, 2, 4, 8}, each on
-//!   a persistent [`WorkerPool`] created outside the timed region, plus a
-//!   `scaling` object with `.../speedup@N` keys in permille (the N = 1
-//!   median over the N-lane median, so 2000 = a clean 2x). Judge those
-//!   against `host_parallelism`: lanes beyond the hardware measure
-//!   scheduling overhead, not speedup (`scripts/check_scaling.sh`).
+//! - `--threads-sweep`: emit `flow/context_build_poolN_t2`
+//!   ([`FlowContext::build_pool`]) and `flow/run_poolN_ilp2_t2`
+//!   ([`FlowContext::run_pool`]) for N in {1, 2, 4, 8} instead of N = 4
+//!   alone, each on a persistent [`WorkerPool`] created outside the timed
+//!   region, plus a `scaling` object with `.../speedup@N` keys in permille
+//!   (the N = 1 median over the N-lane median, so 2000 = a clean 2x).
+//!   Judge those against `host_parallelism`: lanes beyond the hardware
+//!   measure scheduling overhead, not speedup (`scripts/check_scaling.sh`).
 //! - `--serve-load`: additionally start an in-process fill service on a
 //!   unix socket and drive it with an open-loop multi-client request
 //!   stream (send times are scheduled up front, so queueing delay counts
@@ -26,7 +27,7 @@
 //!   `serve/p50_ns`, `serve/p99_ns`, `serve/warm_hit_ratio` (permille),
 //!   plus `serve/cold_ns` vs `serve/warm_edit_ns` — the cold-build
 //!   request against the served latency of an edited design riding the
-//!   cached context through `FlowContext::rebuild`.
+//!   cached context through `FlowContext::rebuild_owned`.
 //! - `--out PATH`: report path (default `BENCH_pr9.json`).
 //!
 //! Besides timings, the report carries a `solver` object of raw effort
@@ -45,7 +46,7 @@
 //! N > 1 measures scheduling overhead, not speedup.
 
 use pilfill_bench::{alloc_count, Harness, Json};
-use pilfill_core::flow::{run_flow_streamed, FlowConfig, FlowContext};
+use pilfill_core::flow::{FlowConfig, FlowContext};
 use pilfill_core::methods::{DpExact, FillMethod, GreedyFill, IlpOne, IlpTwo, NormalFill};
 use pilfill_core::{
     extract_active_lines, scan_slack_columns, scan_slack_columns_into, ScanScratch, TileProblem,
@@ -157,7 +158,7 @@ fn narrowest_net(design: &Design, tile: i64) -> usize {
 /// avoids coordinated omission. Afterwards a sequential probe measures
 /// `serve/cold_ns` (fresh design, full build) against
 /// `serve/warm_edit_ns` (one-net edit riding the cached context through
-/// `FlowContext::rebuild`).
+/// `FlowContext::rebuild_owned`).
 fn serve_load_metrics(quick: bool) -> Vec<(&'static str, u64)> {
     use pilfill_serve::protocol::{design_hash, DesignRef, EditOp, FillParams, FillStatus, Reply};
     use pilfill_serve::{Client, ServeOptions, Server};
@@ -253,7 +254,7 @@ fn serve_load_metrics(quick: bool) -> Vec<(&'static str, u64)> {
     let rounds: u64 = if quick { 2 } else { 5 };
     // Probe on T1: big enough that context construction dominates a cold
     // request, so the edited repeat — which rides the cached context
-    // through `FlowContext::rebuild` and re-solves only the dirtied
+    // through `FlowContext::rebuild_owned` and re-solves only the dirtied
     // tiles — shows the cache's real payoff. A per-round config seed
     // forces a fresh context cache key (a genuine cold build) while the
     // paired edit lands on exactly that entry.
@@ -393,28 +394,21 @@ fn main() {
         ctx.run(&cfg, &IlpTwo).expect("run")
     });
 
-    // Fused pipeline: one call covers what `context_build` + `run_ilp2`
-    // cover separately, so its figure competes with their *sum* — the
-    // `_buildsolve` suffix marks it as build+solve so bench_compare.sh
-    // diffs never pit it against the solve-only `flow/run_ilp2_t2`.
     let pool = WorkerPool::new(
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     );
-    h.bench("flow/run_streamed_buildsolve_ilp2_t2", samples, 1, || {
-        run_flow_streamed(t2, &cfg, &IlpTwo, &pool).expect("streamed")
-    });
 
     // Incremental rebuild with exactly one mutated net. Alternating
     // between the pristine design and its mutated copy keeps every timed
     // call a real single-net diff (a same-design rebuild would be a no-op).
     let mutated = mutated_copy(t2, dissection.tile_size());
     {
-        let mut rctx = FlowContext::build(t2, &cfg).expect("context");
+        let mut rctx = FlowContext::build(t2, &cfg).expect("context").into_owned();
         let mut flip = false;
         h.bench("flow/rebuild_dirty1_t2", samples, 1, || {
             let target = if flip { t2 } else { &mutated };
             flip = !flip;
-            let stats = rctx.rebuild(target, &cfg, &pool).expect("rebuild");
+            let (stats, _) = rctx.rebuild_owned(target, &cfg, &pool).expect("rebuild");
             assert!(!stats.full, "rebuild must take the incremental path");
             stats
         });
@@ -427,9 +421,6 @@ fn main() {
         let (_, build_allocs) =
             alloc_count::count(|| FlowContext::build(t2, &cfg).expect("context"));
         allocs.push(("allocs/context_build_t2", build_allocs));
-        let (_, streamed_allocs) =
-            alloc_count::count(|| run_flow_streamed(t2, &cfg, &IlpTwo, &pool).expect("streamed"));
-        allocs.push(("allocs/run_streamed_buildsolve_ilp2_t2", streamed_allocs));
         // Warm-scratch hot paths: after one priming call both must run
         // allocation-free (the scan emits into a retained Vec, the density
         // fold into retained area/prefix buffers).
@@ -446,29 +437,20 @@ fn main() {
         allocs.push(("allocs/compute_map_t2", map_allocs));
     }
 
-    if opts.sweep {
-        // Persistent pools: workers are spawned once per thread count,
-        // outside the timed region, so the sweep measures steady-state
-        // dispatch rather than thread spawn-up.
-        for n in SWEEP_THREADS {
-            let pool = WorkerPool::new(n);
-            h.bench(
-                &format!("flow/context_build_parallel{n}_t2"),
-                samples,
-                1,
-                || FlowContext::build_pool(t2, &cfg, &pool).expect("context"),
-            );
-            h.bench(&format!("flow/run_parallel{n}_ilp2_t2"), samples, 1, || {
-                ctx.run_pool(&cfg, &IlpTwo, &pool).expect("run")
-            });
-        }
-    } else {
-        // Legacy single-point parallel keys (the sweep supersedes these).
-        h.bench("flow/context_build_parallel4_t2", samples, 1, || {
-            FlowContext::build_parallel(t2, &cfg, 4).expect("context")
-        });
-        h.bench("flow/run_parallel4_ilp2_t2", samples, 1, || {
-            ctx.run_parallel(&cfg, &IlpTwo, 4).expect("run")
+    // Persistent pools: workers are spawned once per lane count, outside
+    // the timed region, so these keys measure steady-state dispatch rather
+    // than thread spawn-up.
+    let lane_counts: &[usize] = if opts.sweep { &SWEEP_THREADS } else { &[4] };
+    for &n in lane_counts {
+        let pool = WorkerPool::new(n);
+        h.bench(
+            &format!("flow/context_build_pool{n}_t2"),
+            samples,
+            1,
+            || FlowContext::build_pool(t2, &cfg, &pool).expect("context"),
+        );
+        h.bench(&format!("flow/run_pool{n}_ilp2_t2"), samples, 1, || {
+            ctx.run_pool(&cfg, &IlpTwo, &pool).expect("run")
         });
     }
 
@@ -497,8 +479,8 @@ fn main() {
         };
         let mut scaling = Json::object();
         for (label, pattern) in [
-            ("run_ilp2_t2", "flow/run_parallel{n}_ilp2_t2"),
-            ("context_build_t2", "flow/context_build_parallel{n}_t2"),
+            ("run_ilp2_t2", "flow/run_pool{n}_ilp2_t2"),
+            ("context_build_t2", "flow/context_build_pool{n}_t2"),
         ] {
             let base = median(&pattern.replace("{n}", "1"));
             for n in SWEEP_THREADS.iter().skip(1) {

@@ -10,10 +10,10 @@
 //! failed model assertions, and leaked threads all surface as
 //! [`Violation`]s carrying the exact schedule that triggered them.
 //!
-//! The pool protocols under check (epoch publication, atomic-cursor
-//! batch claiming, disjoint-slot merging, gate streaming, panic
-//! propagation) live in [`models`]; `cargo run -p pilfill-check` runs
-//! them all and writes `check-report.json`.
+//! The four pool protocols under check (epoch publication, atomic-cursor
+//! batch claiming, disjoint-slot merging, panic propagation) live in
+//! [`models`]; `cargo run -p pilfill-check` runs them all and writes
+//! `check-report.json`.
 
 pub mod clock;
 pub mod models;

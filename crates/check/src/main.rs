@@ -29,7 +29,7 @@ impl Default for Args {
         Self {
             seed: 0xC0FF_EE00,
             budget: 2_000,
-            random_budget: 4_000,
+            random_budget: 5_000,
             min_distinct: 10_000,
             out: "check-report.json".to_owned(),
             model: None,

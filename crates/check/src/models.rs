@@ -14,15 +14,12 @@
 //! |                  | loses an index                                      |
 //! | `slot-merge`     | disjoint-slot writes never alias; the submitter is  |
 //! |                  | a claiming lane too                                 |
-//! | `gate-stream`    | watermark publication happens-before item reads     |
-//! |                  | (the `ReadyGate` fast path)                         |
-//! | `gate-abort`     | a producer abort wakes parked consumer lanes        |
 //! | `panic-prop`     | panic propagation never deadlocks close and never   |
 //! |                  | loses the payload                                   |
 //!
-//! The `gate-stream` model takes the publish ordering as a parameter so
-//! the test suite can run the *mutated* protocol (the `Release` store
-//! weakened to `Relaxed`) and demonstrate the checker catches it.
+//! The `epoch-publish` model takes `close_job`'s wait for `active == 0` as
+//! a parameter so the test suite can run the *mutated* protocol (the wait
+//! skipped) and demonstrate the checker catches it.
 
 use crate::rt::{Config, Explorer, Stats, Strategy, Violation};
 use crate::sync::{AtomicBool, AtomicUsize, Condvar, Mutex, MutexGuard, RaceCell};
@@ -60,8 +57,9 @@ fn join_ok<T>(h: JoinHandle<T>) -> T {
 /// The `RaceCell` payload proves the happens-before claim: if publication
 /// did not order the payload write before the worker's read — or if
 /// `close_job` did not wait for `active == 0` before the *next* job's
-/// payload write — the race detector fires.
-pub fn model_epoch_publish() {
+/// payload write — the race detector fires. `wait_active: false` is the
+/// seeded mutation that skips that wait.
+fn epoch_publish_model(wait_active: bool) {
     struct St {
         epoch: u64,
         job: bool,
@@ -132,7 +130,7 @@ pub fn model_epoch_publish() {
         // close_job: no new joiner, wait out the ones inside.
         let mut st = m_lock(&sh.state);
         st.job = false;
-        while st.active > 0 {
+        while wait_active && st.active > 0 {
             st = m_wait(&sh.done_cv, st);
         }
         drop(st);
@@ -146,6 +144,20 @@ pub fn model_epoch_publish() {
     };
     assert!(joins <= JOBS, "worker joined an epoch twice");
     join_ok(worker);
+}
+
+/// The sound `epoch-publish` protocol.
+pub fn model_epoch_publish() {
+    epoch_publish_model(true);
+}
+
+/// The seeded mutation: `close_job` returns without waiting for
+/// `active == 0`, so the next job's payload write can overlap a worker
+/// still reading the previous one. Exposed (test-only) so the mutation
+/// test can assert the checker reports the resulting race.
+#[cfg(test)]
+pub fn model_epoch_publish_skip_close_wait() {
+    epoch_publish_model(false);
 }
 
 // ---------------------------------------------------------------------------
@@ -228,160 +240,6 @@ pub fn model_slot_merge() {
         let v = i as u64;
         assert_eq!(slot.get(), v * v + 1, "slot {i} holds a wrong result");
     }
-}
-
-// ---------------------------------------------------------------------------
-// gate-stream / gate-abort
-// ---------------------------------------------------------------------------
-
-/// The `ReadyGate` of `stream_map`: watermark atomic, lock, condvar.
-struct Gate {
-    ready: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new() -> Self {
-        Self {
-            ready: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// `ReadyGate::publish`, with the store ordering as a parameter: the
-    /// sound protocol uses `Release`; the mutation test runs `Relaxed`
-    /// to prove the checker notices the missing edge on the lock-free
-    /// fast path of [`Gate::wait_past`].
-    fn publish(&self, upto: usize, release: bool) {
-        let _guard = m_lock(&self.lock);
-        let order = if release {
-            Ordering::Release
-        } else {
-            Ordering::Relaxed
-        };
-        self.ready.store(upto, order);
-        self.cv.notify_all();
-    }
-
-    /// `ReadyGate::wait_past`, verbatim: panicked check, lock-free fast
-    /// path, then the locked re-check-and-wait slow path.
-    fn wait_past(&self, i: usize, panicked: &AtomicBool) -> bool {
-        loop {
-            if panicked.load(Ordering::Relaxed) {
-                return false;
-            }
-            if self.ready.load(Ordering::Acquire) > i {
-                return true;
-            }
-            let guard = m_lock(&self.lock);
-            if self.ready.load(Ordering::Acquire) > i {
-                return true;
-            }
-            if panicked.load(Ordering::Relaxed) {
-                return false;
-            }
-            drop(m_wait(&self.cv, guard));
-        }
-    }
-}
-
-/// Mirrors `stream_map`'s happy path: the producer writes item `k` as
-/// plain data and publishes `ready = k + 1`; a consumer lane claims
-/// indices behind the watermark and reads the items. With a `Release`
-/// publish the fast-path `Acquire` load carries the happens-before edge;
-/// the `release: false` variant is the seeded mutation the checker must
-/// catch as a data race.
-fn gate_stream_model(release: bool) {
-    const N: usize = 3;
-
-    let items: Arc<Vec<RaceCell<u64>>> = Arc::new((0..N).map(|_| RaceCell::new(0)).collect());
-    let gate = Arc::new(Gate::new());
-    let panicked = Arc::new(AtomicBool::new(false));
-    let cursor = Arc::new(AtomicUsize::new(0));
-
-    let consumer = {
-        let items = Arc::clone(&items);
-        let gate = Arc::clone(&gate);
-        let panicked = Arc::clone(&panicked);
-        let cursor = Arc::clone(&cursor);
-        thread::spawn(move || loop {
-            if panicked.load(Ordering::Relaxed) {
-                return;
-            }
-            let claimed = cursor.load(Ordering::Relaxed);
-            if claimed >= N {
-                return;
-            }
-            let ready = gate.ready.load(Ordering::Acquire);
-            if ready <= claimed {
-                if !gate.wait_past(claimed, &panicked) {
-                    return;
-                }
-                continue;
-            }
-            let begin = cursor.fetch_add(1, Ordering::Relaxed);
-            if begin >= N {
-                return;
-            }
-            if begin >= ready && !gate.wait_past(begin, &panicked) {
-                return;
-            }
-            let got = items[begin].get();
-            assert_eq!(got, begin as u64 * 3 + 1, "item {begin} read torn/stale");
-        })
-    };
-
-    for k in 0..N {
-        items[k].set(k as u64 * 3 + 1);
-        gate.publish(k + 1, release);
-    }
-    join_ok(consumer);
-}
-
-/// The sound `gate-stream` protocol (release publication).
-pub fn model_gate_stream() {
-    gate_stream_model(true);
-}
-
-/// The seeded mutation: `ReadyGate::publish` weakened to a `Relaxed`
-/// store. Exposed (test-only) so the mutation test can assert the
-/// checker reports the resulting race on the lock-free fast path.
-#[cfg(test)]
-pub fn model_gate_stream_weak_publish() {
-    gate_stream_model(false);
-}
-
-/// Mirrors `stream_map`'s producer-panic path: the producer sets the
-/// `panicked` flag and publishes the full watermark to flush parked
-/// lanes. The invariant is wakeup: a consumer parked in `wait_past` must
-/// always terminate (a lost notification is a detected deadlock).
-pub fn model_gate_abort() {
-    const N: usize = 2;
-
-    let items: Arc<Vec<RaceCell<u64>>> = Arc::new((0..N).map(|_| RaceCell::new(0)).collect());
-    let gate = Arc::new(Gate::new());
-    let panicked = Arc::new(AtomicBool::new(false));
-
-    let consumer = {
-        let items = Arc::clone(&items);
-        let gate = Arc::clone(&gate);
-        let panicked = Arc::clone(&panicked);
-        thread::spawn(move || {
-            if gate.wait_past(0, &panicked) {
-                // The abort publish can legitimately push the watermark
-                // past unwritten items; exec tolerates the read (the
-                // slot is `None`) — what matters is it is race-free.
-                let _ = items[0].get();
-            }
-        })
-    };
-
-    // Producer "panic": flag first, then flush the gate — exec's order.
-    panicked.store(true, Ordering::Relaxed);
-    gate.publish(N, true);
-    join_ok(consumer);
 }
 
 // ---------------------------------------------------------------------------
@@ -493,16 +351,6 @@ pub fn all_models() -> Vec<ModelSpec> {
             run: model_slot_merge,
         },
         ModelSpec {
-            name: "gate-stream",
-            invariant: "watermark publication happens-before item reads on the gate fast path",
-            run: model_gate_stream,
-        },
-        ModelSpec {
-            name: "gate-abort",
-            invariant: "a producer abort always wakes parked consumer lanes",
-            run: model_gate_abort,
-        },
-        ModelSpec {
             name: "panic-prop",
             invariant: "panic propagation never deadlocks close_job and never loses the payload",
             run: model_panic_prop,
@@ -598,7 +446,7 @@ mod tests {
     /// interleavings, reproducibly from the fixed suite seed.
     #[test]
     fn pool_invariants_hold_across_ten_thousand_interleavings() {
-        let reports = run_all(0xC0FF_EE00, 2_000, 4_000);
+        let reports = run_all(0xC0FF_EE00, 2_000, 5_000);
         let mut total = 0u64;
         for r in &reports {
             assert!(r.violation.is_none(), "{}: {:?}", r.name, r.violation);
@@ -627,24 +475,25 @@ mod tests {
         }
     }
 
-    /// Acceptance: the seeded mutation — `ReadyGate::publish` weakened
-    /// from `Release` to `Relaxed` — is caught as a data race.
+    /// Acceptance: the seeded mutation — `close_job` skipping its wait
+    /// for `active == 0` before the next job's payload write — is caught
+    /// as a data race.
     #[test]
     fn weakened_publish_store_is_caught() {
         let mut ex = Explorer::new(Config::default());
-        let outcome = ex.explore(model_gate_stream_weak_publish);
+        let outcome = ex.explore(model_epoch_publish_skip_close_wait);
         let v = outcome
             .violation
-            .expect("the checker must catch the relaxed publish");
+            .expect("the checker must catch the skipped close_job wait");
         assert!(v.message.contains("data race"), "{v}");
     }
 
-    /// The sound gate protocol survives the same exploration that kills
-    /// the mutated one (checker sensitivity, not blanket suspicion).
+    /// The sound publication protocol survives the same exploration that
+    /// kills the mutated one (checker sensitivity, not blanket suspicion).
     #[test]
     fn sound_publish_survives_the_same_exploration() {
         let mut ex = Explorer::new(Config::default());
-        let outcome = ex.explore(model_gate_stream);
+        let outcome = ex.explore(model_epoch_publish);
         assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
     }
 }

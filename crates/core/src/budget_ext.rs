@@ -120,7 +120,7 @@ impl CapBudgets {
         for p in problems {
             let mut seen: Vec<NetId> = Vec::new();
             for c in &p.columns {
-                for &n in &c.adjacent_nets {
+                for n in c.adjacent_nets.into_iter().flatten() {
                     if !seen.contains(&n) {
                         seen.push(n);
                     }
@@ -228,7 +228,7 @@ impl FillMethod for BudgetedIlpTwo {
                     .collect();
                 model.add_constraint(col_vars.iter().map(|&v| (v, 1.0)), Sense::Eq, 1.0);
                 budget_terms.extend(col_vars.iter().enumerate().map(|(n, &v)| (v, n as f64)));
-                for &net in &col.adjacent_nets {
+                for net in col.adjacent_nets.into_iter().flatten() {
                     let terms = net_terms.entry(net).or_default();
                     terms.extend(col_vars.iter().enumerate().map(|(n, &v)| {
                         (

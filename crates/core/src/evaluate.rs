@@ -256,7 +256,7 @@ fn evaluate_impl(
             }
         };
         match pool {
-            Some(pool) => {
+            Some(pool) if pool.lanes() > 1 => {
                 // Dense worklist of occupied columns, ascending; each pure
                 // contribution lands in its own disjoint slot before the
                 // ordered fold replays the serial addition sequence.
@@ -272,9 +272,9 @@ fn evaluate_impl(
                 });
                 contributions.into_iter().for_each(&mut fold);
             }
-            // Serial: stream each contribution straight into the fold, no
-            // worklist or slot vector.
-            None => counts
+            // Serial (no pool, or a 1-lane one): stream each contribution
+            // straight into the fold, no worklist or slot vector.
+            _ => counts
                 .iter()
                 .enumerate()
                 .filter(|(_, &m)| m > 0)

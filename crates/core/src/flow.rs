@@ -151,113 +151,25 @@ pub struct FlowOutcome {
     pub tiles: usize,
 }
 
-/// Number of logical CPUs of the host, used to fall back to the serial
-/// paths when a multi-lane pool cannot actually run in parallel (lanes
-/// would only add claim/wake overhead — the PR4 bench regression).
-fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// `true` when `pool` can genuinely run more than one lane at once.
-fn pool_is_parallel(pool: &WorkerPool) -> bool {
-    pool.lanes() > 1 && host_parallelism() > 1
-}
-
-/// The method-independent flow state up to (and including) the fill
-/// budget, shared by [`FlowContext::build_pool`] and the streamed runner:
-/// frame transposition, dissection, per-net line extraction, the arena
-/// scan, definition-III slack capacities, density map and budget. Tile
-/// problems are *not* built here — the streamed pipeline fuses their
-/// construction with solving.
-struct Prelude<'d> {
-    frame_design: Cow<'d, Design>,
-    transposed: bool,
-    dissection: FixedDissection,
-    lines: Vec<ActiveLine>,
-    net_line_ranges: Vec<Range<usize>>,
-    columns: Vec<SlackColumn>,
-    slack: Vec<u32>,
-    density_map: DensityMap,
-    density_before: DensityAnalysis,
-    budget: FillBudget,
-    budget_total: u64,
-}
-
-fn prelude<'d>(design: &'d Design, config: &FlowConfig) -> Result<Prelude<'d>, FlowError> {
-    // Work in a frame where the target layer routes horizontally.
-    let transposed = design
-        .layers
-        .get(config.layer.0)
-        .map(|l| l.dir.is_vertical())
-        .unwrap_or(false);
-    let frame_design: Cow<'d, Design> = if transposed {
-        Cow::Owned(design.transposed())
+/// The fill budget for `slack` under `config`: the Monte-Carlo greedy by
+/// default, the exact LP under [`FlowConfig::lp_budget`]. Budgeting is a
+/// pure function of the density map and the slack vector, which is what
+/// lets the rebuild cache reuse a budget when neither changed.
+fn budget_for(
+    density_map: &DensityMap,
+    slack: &[u32],
+    feature_area: i64,
+    config: &FlowConfig,
+) -> Result<FillBudget, BudgetError> {
+    if config.lp_budget {
+        lp_budget(density_map, slack, feature_area, config.max_density)
     } else {
-        Cow::Borrowed(design)
-    };
-    let design: &Design = &frame_design;
-    let dissection = FixedDissection::new(design.die, config.window, config.r)?;
-
-    // Per-net extraction, recording each net's line range so the rebuild
-    // cache can later re-extract changed nets in place.
-    let mut lines = Vec::new();
-    let mut net_line_ranges = Vec::with_capacity(design.nets.len());
-    let mut extract_scratch = ExtractScratch::default();
-    for ni in 0..design.nets.len() {
-        let start = lines.len();
-        extract_net_lines_with(
-            design,
-            config.layer,
-            NetId(ni),
-            &mut extract_scratch,
-            &mut lines,
-        )?;
-        net_line_ranges.push(start..lines.len());
+        montecarlo_budget(density_map, slack, feature_area, config.max_density)
     }
-    extract_obstruction_lines(design, config.layer, &mut lines);
-
-    let mut scratch = ScanScratch::default();
-    let mut columns = Vec::new();
-    scan_slack_columns_into(&lines, design.die, design.rules, &mut scratch, &mut columns);
-
-    // Per-tile capacity for budgeting always uses definition III (the
-    // physical truth); the method may then be run under a weaker
-    // definition and take a shortfall. The capacities come straight from
-    // the global scan — no capacitance tables are built for budgeting.
-    let slack: Vec<u32> = def_three_capacities(&columns, &dissection, design.rules)
-        .into_iter()
-        .map(units::saturating_count)
-        .collect();
-
-    let density_map = DensityMap::compute(design, config.layer, &dissection);
-    let density_before = density_map.analyze();
-    let feature_area = design.rules.feature_area();
-    let budget = if config.lp_budget {
-        lp_budget(&density_map, &slack, feature_area, config.max_density)?
-    } else {
-        montecarlo_budget(&density_map, &slack, feature_area, config.max_density)?
-    };
-    let budget_total = budget.total();
-
-    Ok(Prelude {
-        frame_design,
-        transposed,
-        dissection,
-        lines,
-        net_line_ranges,
-        columns,
-        slack,
-        density_map,
-        density_before,
-        budget,
-        budget_total,
-    })
 }
 
 /// Which tiles' previously computed solve results a
-/// [`FlowContext::rebuild`] invalidated — the complement of what a
+/// [`FlowContext::rebuild_owned`] invalidated — the complement of what a
 /// result cache layered above the context may keep.
 ///
 /// Invalidated means the tile's [`TileProblem`] was rebuilt or its
@@ -275,13 +187,13 @@ pub enum RebuildDirt {
     Tiles(Vec<usize>),
 }
 
-/// What [`FlowContext::rebuild`] did: either a localized update or a full
-/// rebuild, with the dirty extents for diagnostics and benches.
+/// What [`FlowContext::rebuild_owned`] did: either a localized update or
+/// a full rebuild, with the dirty extents for diagnostics and benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[must_use = "rebuild stats tell whether the cache actually hit"]
 pub struct RebuildStats {
-    /// `true` when the context fell back to a full [`FlowContext::build`]
-    /// (config/frame/topology change).
+    /// `true` when the context fell back to a full
+    /// [`FlowContext::build_pool`] (config/frame/topology change).
     pub full: bool,
     /// Nets whose geometry or timing changed.
     pub changed_nets: usize,
@@ -306,21 +218,9 @@ impl RebuildStats {
     };
 }
 
-/// Outcome of the shared incremental-rebuild body: either the context was
-/// patched in place, or the change was not localizable and the caller
-/// must rebuild from scratch (with the design lifetime it owns).
-enum IncrOutcome {
-    NeedsFull,
-    Done {
-        stats: RebuildStats,
-        dirt: RebuildDirt,
-    },
-}
-
 /// Solves one tile: budget lookup, capacity clamp, per-tile seeded RNG,
-/// method dispatch — the single definition behind [`FlowContext::run`],
-/// the pooled runner, the streamed pipeline, and
-/// [`FlowContext::solve_tile`].
+/// method dispatch — the single definition behind
+/// [`FlowContext::run_pool`] and [`FlowContext::solve_tile`].
 fn solve_one_tile(
     problem: &TileProblem,
     budget: &FillBudget,
@@ -376,8 +276,8 @@ pub struct FlowContext<'d> {
 }
 
 impl<'d> FlowContext<'d> {
-    /// Builds the context: extraction, scan, tile problems, density map and
-    /// fill budget.
+    /// Builds the context on the calling thread alone:
+    /// [`FlowContext::build_pool`] with a 1-lane pool.
     ///
     /// # Errors
     ///
@@ -386,31 +286,11 @@ impl<'d> FlowContext<'d> {
         Self::build_pool(design, config, &WorkerPool::new(1))
     }
 
-    /// Like [`FlowContext::build`], but prepares the per-tile problems on a
-    /// transient `threads`-lane [`WorkerPool`] (per-tile slack scans for
-    /// definitions I/II, sharded global-column distribution for
-    /// definition III). The result is identical for every thread count.
-    /// Callers building repeatedly should hold their own pool and use
-    /// [`FlowContext::build_pool`] to amortize worker spawn-up.
-    ///
-    /// # Errors
-    ///
-    /// See [`FlowError`].
-    pub fn build_parallel(
-        design: &'d Design,
-        config: &FlowConfig,
-        threads: usize,
-    ) -> Result<Self, FlowError> {
-        Self::build_pool(design, config, &WorkerPool::new(threads))
-    }
-
-    /// Like [`FlowContext::build`], but prepares the per-tile problems on
-    /// the caller's persistent [`WorkerPool`]. The result is identical for
-    /// every pool size.
-    ///
-    /// On a single-CPU host a multi-lane pool cannot overlap any work, so
-    /// the build transparently falls back to the serial path (the lanes
-    /// would only add claim/wake overhead).
+    /// Builds the context: frame transposition, dissection, per-net line
+    /// extraction, the arena scan, definition-III slack capacities,
+    /// density map, fill budget, and the per-tile problems, which are
+    /// built on `pool`'s lanes ([`build_tile_problems_pool`]). The result
+    /// is identical for every lane count.
     ///
     /// # Errors
     ///
@@ -420,387 +300,79 @@ impl<'d> FlowContext<'d> {
         config: &FlowConfig,
         pool: &WorkerPool,
     ) -> Result<Self, FlowError> {
-        if pool.lanes() > 1 && !pool_is_parallel(pool) {
-            return Self::build_pool_impl(design, config, &WorkerPool::new(1));
+        // Work in a frame where the target layer routes horizontally.
+        let transposed = design
+            .layers
+            .get(config.layer.0)
+            .map(|l| l.dir.is_vertical())
+            .unwrap_or(false);
+        let frame_design: Cow<'d, Design> = if transposed {
+            Cow::Owned(design.transposed())
+        } else {
+            Cow::Borrowed(design)
+        };
+        let frame: &Design = &frame_design;
+        let dissection = FixedDissection::new(frame.die, config.window, config.r)?;
+
+        // Per-net extraction, recording each net's line range so the
+        // rebuild cache can later re-extract changed nets in place.
+        let mut lines = Vec::new();
+        let mut net_line_ranges = Vec::with_capacity(frame.nets.len());
+        let mut extract_scratch = ExtractScratch::default();
+        for ni in 0..frame.nets.len() {
+            let start = lines.len();
+            extract_net_lines_with(
+                frame,
+                config.layer,
+                NetId(ni),
+                &mut extract_scratch,
+                &mut lines,
+            )?;
+            net_line_ranges.push(start..lines.len());
         }
-        Self::build_pool_impl(design, config, pool)
-    }
+        extract_obstruction_lines(frame, config.layer, &mut lines);
 
-    /// [`FlowContext::build_pool`] without the single-CPU serial fallback —
-    /// exercises the multi-lane path regardless of the host. Test-only.
-    #[doc(hidden)]
-    pub fn build_pool_forced(
-        design: &'d Design,
-        config: &FlowConfig,
-        pool: &WorkerPool,
-    ) -> Result<Self, FlowError> {
-        Self::build_pool_impl(design, config, pool)
-    }
+        let mut scratch = ScanScratch::default();
+        let mut columns = Vec::new();
+        scan_slack_columns_into(&lines, frame.die, frame.rules, &mut scratch, &mut columns);
 
-    fn build_pool_impl(
-        design: &'d Design,
-        config: &FlowConfig,
-        pool: &WorkerPool,
-    ) -> Result<Self, FlowError> {
-        let p = prelude(design, config)?;
-        let frame: &Design = &p.frame_design;
+        // Per-tile capacity for budgeting always uses definition III (the
+        // physical truth); the method may then be run under a weaker
+        // definition and take a shortfall. The capacities come straight
+        // from the global scan — no capacitance tables are built for
+        // budgeting.
+        let slack: Vec<u32> = def_three_capacities(&columns, &dissection, frame.rules)
+            .into_iter()
+            .map(units::saturating_count)
+            .collect();
+
+        let density_map = DensityMap::compute(frame, config.layer, &dissection);
+        let density_before = density_map.analyze();
+        let budget = budget_for(&density_map, &slack, frame.rules.feature_area(), config)?;
         let problems = build_tile_problems_pool(
-            &p.lines,
-            &p.columns,
-            &p.dissection,
+            &lines,
+            &columns,
+            &dissection,
             &frame.tech,
             frame.rules,
             config.def,
             pool,
         );
         Ok(Self {
-            frame_design: p.frame_design,
-            transposed: p.transposed,
+            transposed,
             config: config.clone(),
-            dissection: p.dissection,
-            lines: p.lines,
-            net_line_ranges: p.net_line_ranges,
-            columns: p.columns,
+            dissection,
+            lines,
+            net_line_ranges,
+            columns,
             problems,
-            slack: p.slack,
-            budget: p.budget,
-            budget_total: p.budget_total,
-            density_before: p.density_before,
-            density_scratch: DensityMap::zeros(p.density_map.dissection()),
-            density_map: p.density_map,
-        })
-    }
-
-    /// Incrementally rebuilds the context for a mutated `design`, reusing
-    /// every cached artifact whose inputs did not change.
-    ///
-    /// The cache key is exact, not a hash: nets are diffed value-for-value
-    /// against the design the context was built from. For each changed net
-    /// its lines are re-extracted in place; if the net's segments moved,
-    /// the site columns its old and new buffer-expanded lines cover are
-    /// re-swept through the arena scan and their tiles' def-III slack is
-    /// patched per slab. Only the tile-grid columns containing a changed
-    /// site column get their [`TileProblem`]s rebuilt
-    /// ([`build_slab_problems`]) — value-only edits (a sink or timing
-    /// change) skip the sweep entirely, since columns depend only on
-    /// rects. The density map and budget are recomputed only when a
-    /// segment moved AND the recomputed map or slack actually differ;
-    /// otherwise the cached budget is reused (budgeting is a pure function
-    /// of the two). All clean columns and problems are kept bit-for-bit.
-    ///
-    /// Falls back to a full [`FlowContext::build_pool`] — reported via
-    /// [`RebuildStats::full`] — when the change is not localizable: a
-    /// different config, die, rules, tech, layer table, obstruction set or
-    /// net count, a transposed working frame, or a changed net whose line
-    /// count on the target layer differs (line indices would shift under
-    /// every clean column).
-    ///
-    /// # Errors
-    ///
-    /// See [`FlowError`]. On error the context is left in its previous
-    /// state (full-rebuild errors excepted).
-    pub fn rebuild(
-        &mut self,
-        design: &'d Design,
-        config: &FlowConfig,
-        pool: &WorkerPool,
-    ) -> Result<RebuildStats, FlowError> {
-        Ok(self.rebuild_tracked(design, config, pool)?.0)
-    }
-
-    /// Like [`FlowContext::rebuild`], but additionally reports which
-    /// tiles' previously computed solve results the rebuild invalidated
-    /// ([`RebuildDirt`]) — the contract a per-tile result cache layered
-    /// above the context (the serving layer) relies on.
-    ///
-    /// # Errors
-    ///
-    /// See [`FlowContext::rebuild`].
-    pub fn rebuild_tracked(
-        &mut self,
-        design: &'d Design,
-        config: &FlowConfig,
-        pool: &WorkerPool,
-    ) -> Result<(RebuildStats, RebuildDirt), FlowError> {
-        match self.rebuild_incr(design, config)? {
-            IncrOutcome::NeedsFull => {
-                *self = Self::build_pool(design, config, pool)?;
-                Ok((RebuildStats::FULL, RebuildDirt::All))
-            }
-            IncrOutcome::Done { stats, dirt } => {
-                self.frame_design = Cow::Borrowed(design);
-                Ok((stats, dirt))
-            }
-        }
-    }
-
-    /// The incremental-rebuild body shared by the borrowed
-    /// ([`FlowContext::rebuild_tracked`]) and owned
-    /// ([`FlowContext::rebuild_owned`]) entry points. Never stores
-    /// `design` into the context — on [`IncrOutcome::Done`] the caller
-    /// installs it with the lifetime it owns; on
-    /// [`IncrOutcome::NeedsFull`] the caller replaces the whole context
-    /// (partial line splices made before a mid-diff bailout are then
-    /// overwritten wholesale).
-    fn rebuild_incr(
-        &mut self,
-        design: &Design,
-        config: &FlowConfig,
-    ) -> Result<IncrOutcome, FlowError> {
-        let new_transposed = design
-            .layers
-            .get(config.layer.0)
-            .map(|l| l.dir.is_vertical())
-            .unwrap_or(false);
-        {
-            let old: &Design = &self.frame_design;
-            // The slab rebuild below is a definition-III construction
-            // (weaker definitions re-scan per tile anyway).
-            if *config != self.config
-                || config.def != SlackColumnDef::Three
-                || self.transposed
-                || new_transposed
-                || design.die != old.die
-                || design.rules != old.rules
-                || design.tech != old.tech
-                || design.layers != old.layers
-                || design.obstructions != old.obstructions
-                || design.nets.len() != old.nets.len()
-            {
-                return Ok(IncrOutcome::NeedsFull);
-            }
-        }
-
-        let die = design.die;
-        let rules = design.rules;
-        let pitch = rules.site_pitch();
-        let n_sites = site_column_count(die, rules);
-        // Two dirt granularities. `resolve`: site columns whose tiles'
-        // problems must be rebuilt (any line change — weights feed the
-        // cost tables). `rescan`: site columns whose slack columns must be
-        // re-swept (geometry moved — columns depend only on rects, so a
-        // value-only edit like a sink-weight bump leaves them untouched,
-        // and with them the slack vector and the density map).
-        let mut resolve = vec![false; n_sites];
-        let mut rescan = vec![false; n_sites];
-        // Marks the site columns a line's buffer-expanded rect covers —
-        // exactly the columns whose sweep sees the line as an event.
-        let mark = |rect: Rect, dirty: &mut Vec<bool>| {
-            let expanded = Rect::new(
-                rect.left - rules.buffer,
-                rect.bottom,
-                rect.right + rules.buffer,
-                rect.top,
-            );
-            let clipped = expanded.intersection(&die);
-            if clipped.is_empty() || n_sites == 0 {
-                return;
-            }
-            let lo = units::index(((clipped.left - die.left) / pitch).max(0));
-            let hi = units::index((clipped.right - 1 - die.left) / pitch).min(n_sites - 1);
-            for s in dirty.iter_mut().take(hi + 1).skip(lo) {
-                *s = true;
-            }
-        };
-
-        // Diff nets value-for-value; re-extract changed ones in place.
-        let mut changed_nets = 0usize;
-        let mut geometry_changed = false;
-        let mut fresh: Vec<ActiveLine> = Vec::new();
-        let mut extract_scratch = ExtractScratch::default();
-        for ni in 0..design.nets.len() {
-            if design.nets[ni] == self.frame_design.nets[ni] {
-                continue;
-            }
-            changed_nets += 1;
-            let geometry = design.nets[ni].segments != self.frame_design.nets[ni].segments;
-            geometry_changed |= geometry;
-            fresh.clear();
-            extract_net_lines_with(
-                design,
-                config.layer,
-                NetId(ni),
-                &mut extract_scratch,
-                &mut fresh,
-            )?;
-            let range = self.net_line_ranges[ni].clone();
-            if fresh.len() != range.len() {
-                // Line indices after this net would shift; every clean
-                // column's below/above reference would dangle.
-                return Ok(IncrOutcome::NeedsFull);
-            }
-            for l in self.lines[range.clone()].iter().chain(fresh.iter()) {
-                mark(l.rect, &mut resolve);
-                if geometry {
-                    mark(l.rect, &mut rescan);
-                }
-            }
-            for (slot, line) in self.lines[range].iter_mut().zip(fresh.drain(..)) {
-                *slot = line;
-            }
-        }
-        let dirty_site_columns = rescan.iter().filter(|&&d| d).count();
-        if !resolve.iter().any(|&d| d) {
-            return Ok(IncrOutcome::Done {
-                stats: RebuildStats {
-                    full: false,
-                    changed_nets,
-                    dirty_site_columns: 0,
-                    dirty_grid_columns: 0,
-                    budget_reused: true,
-                },
-                dirt: RebuildDirt::Tiles(Vec::new()),
-            });
-        }
-
-        // Splice the column list: clean site runs keep their columns
-        // (a flat copy — `SlackColumn` is `Copy`), dirty runs are re-swept.
-        // Value-only edits rescan nothing: columns depend only on rects.
-        let grid = self.dissection.tiles();
-        let nx = grid.nx();
-        if dirty_site_columns > 0 {
-            let mut new_columns = Vec::with_capacity(self.columns.len());
-            let mut scratch = ScanScratch::default();
-            let mut site = 0usize;
-            let mut cursor = 0usize;
-            while site < n_sites {
-                let run_start = site;
-                let run_dirty = rescan[site];
-                while site < n_sites && rescan[site] == run_dirty {
-                    site += 1;
-                }
-                let run_cursor = cursor;
-                while cursor < self.columns.len() && self.columns[cursor].site_x < site {
-                    cursor += 1;
-                }
-                if run_dirty {
-                    scan_site_columns(
-                        &self.lines,
-                        die,
-                        rules,
-                        run_start..site,
-                        &mut scratch,
-                        &mut new_columns,
-                    );
-                } else {
-                    new_columns.extend_from_slice(&self.columns[run_cursor..cursor]);
-                }
-            }
-            self.columns = new_columns;
-        }
-
-        // Rebuild problems for tile-grid columns containing any changed
-        // site; patch slack only where the columns were actually re-swept.
-        let mark_grid = |sites: &[bool], dirty_grid: &mut Vec<bool>| {
-            for (s, d) in sites.iter().enumerate() {
-                if !d {
-                    continue;
-                }
-                let fx = die.left + units::coord(s) * pitch + (pitch - rules.feature_size) / 2;
-                if fx >= grid.bounds().left && fx < grid.bounds().right {
-                    let ix = units::index((fx - grid.bounds().left) / grid.pitch_x()).min(nx - 1);
-                    dirty_grid[ix] = true;
-                }
-            }
-        };
-        let mut dirty_grid = vec![false; nx];
-        let mut rescan_grid = vec![false; nx];
-        mark_grid(&resolve, &mut dirty_grid);
-        mark_grid(&rescan, &mut rescan_grid);
-        let ranges = slab_ranges(&self.columns, &self.dissection, rules);
-        let old_slack = self.slack.clone();
-        let mut dirty_grid_columns = 0usize;
-        for (ix, is_dirty) in dirty_grid.iter().enumerate() {
-            if !is_dirty {
-                continue;
-            }
-            dirty_grid_columns += 1;
-            let slab = build_slab_problems(
-                &self.lines,
-                &self.columns[ranges[ix].clone()],
-                &self.dissection,
-                &design.tech,
-                rules,
-                ix,
-            );
-            for (iy, p) in slab.into_iter().enumerate() {
-                self.problems[iy * nx + ix] = p;
-            }
-            if !rescan_grid[ix] {
-                continue;
-            }
-            // Def-III slack is a per-column sum binned into tiles, and a
-            // slab's columns only ever bin into its own grid column, so
-            // feeding just this slab patches exactly its tiles' slack
-            // (integer sums — bit-identical to the full recompute).
-            let slab_caps =
-                def_three_capacities(&self.columns[ranges[ix].clone()], &self.dissection, rules);
-            for iy in 0..grid.ny() {
-                self.slack[iy * nx + ix] = units::saturating_count(slab_caps[iy * nx + ix]);
-            }
-        }
-
-        // Density and budget are global, but budgeting is a pure function
-        // of the density map and the slack vector: an edit that changed
-        // line values without moving drawn area or slot counts (a timing
-        // or sink-weight update, say) leaves both inputs bit-identical,
-        // and then the cached budget IS what a fresh build would compute.
-        // When no segment moved at all, both inputs are untouched by
-        // construction and even the equality check is skipped.
-        let budget_reused = if geometry_changed {
-            self.density_scratch.recompute(design, config.layer);
-            let reused = self.density_scratch == self.density_map && self.slack == old_slack;
-            if !reused {
-                std::mem::swap(&mut self.density_map, &mut self.density_scratch);
-                self.density_before = self.density_map.analyze();
-                let feature_area = rules.feature_area();
-                self.budget = if config.lp_budget {
-                    lp_budget(
-                        &self.density_map,
-                        &self.slack,
-                        feature_area,
-                        config.max_density,
-                    )?
-                } else {
-                    montecarlo_budget(
-                        &self.density_map,
-                        &self.slack,
-                        feature_area,
-                        config.max_density,
-                    )?
-                };
-                self.budget_total = self.budget.total();
-            }
-            reused
-        } else {
-            true
-        };
-
-        // A changed budget may change any tile's allotment; otherwise
-        // only the rebuilt grid columns' tiles lost their problems.
-        let dirt = if budget_reused {
-            let mut tiles = Vec::with_capacity(dirty_grid_columns * grid.ny());
-            for iy in 0..grid.ny() {
-                for (ix, is_dirty) in dirty_grid.iter().enumerate() {
-                    if *is_dirty {
-                        tiles.push(iy * nx + ix);
-                    }
-                }
-            }
-            RebuildDirt::Tiles(tiles)
-        } else {
-            RebuildDirt::All
-        };
-
-        Ok(IncrOutcome::Done {
-            stats: RebuildStats {
-                full: false,
-                changed_nets,
-                dirty_site_columns,
-                dirty_grid_columns,
-                budget_reused,
-            },
-            dirt,
+            slack,
+            budget_total: budget.total(),
+            budget,
+            density_before,
+            density_scratch: DensityMap::zeros(density_map.dissection()),
+            density_map,
+            frame_design,
         })
     }
 
@@ -835,103 +407,8 @@ impl<'d> FlowContext<'d> {
         self.budget.features(cell)
     }
 
-    /// Runs one placement method against the prepared context, solving
-    /// tiles on a transient `threads`-lane [`WorkerPool`]. The result is
-    /// identical to [`FlowContext::run`] for any thread count: per-tile
-    /// seeds depend only on the tile index, and tile results are merged in
-    /// tile order. Callers running repeatedly should hold their own pool
-    /// and use [`FlowContext::run_pool`] to amortize worker spawn-up.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::Method`] if any tile solve fails.
-    pub fn run_parallel(
-        &self,
-        config: &FlowConfig,
-        method: &(dyn FillMethod + Sync),
-        threads: usize,
-    ) -> Result<FlowOutcome, FlowError> {
-        let threads = threads.max(1);
-        if threads == 1 || self.problems.len() < 2 {
-            return self.run(config, method);
-        }
-        self.run_pool(config, method, &WorkerPool::new(threads))
-    }
-
-    /// Runs one placement method against the prepared context on the
-    /// caller's persistent [`WorkerPool`]. Tiles are claimed dynamically
-    /// (one 4.5ms ILP-II tile no longer serializes a static chunk of
-    /// followers) and the delay evaluation is sharded by slack column; the
-    /// result is bit-identical to [`FlowContext::run`] for every pool
-    /// size.
-    ///
-    /// On a single-CPU host (or a 1-lane pool) this falls back to the
-    /// serial [`FlowContext::run`] — the lanes cannot overlap and would
-    /// only add claim/wake overhead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::Method`] if any tile solve fails.
-    pub fn run_pool(
-        &self,
-        config: &FlowConfig,
-        method: &(dyn FillMethod + Sync),
-        pool: &WorkerPool,
-    ) -> Result<FlowOutcome, FlowError> {
-        if !pool_is_parallel(pool) || self.problems.len() < 2 {
-            return self.run(config, method);
-        }
-        self.run_pool_impl(config, method, pool)
-    }
-
-    /// [`FlowContext::run_pool`] without the single-CPU serial fallback —
-    /// exercises the multi-lane path regardless of the host. Test-only.
-    #[doc(hidden)]
-    pub fn run_pool_forced(
-        &self,
-        config: &FlowConfig,
-        method: &(dyn FillMethod + Sync),
-        pool: &WorkerPool,
-    ) -> Result<FlowOutcome, FlowError> {
-        let n = self.problems.len();
-        if pool.lanes() == 1 || n < 2 {
-            return self.run(config, method);
-        }
-        self.run_pool_impl(config, method, pool)
-    }
-
-    fn run_pool_impl(
-        &self,
-        config: &FlowConfig,
-        method: &(dyn FillMethod + Sync),
-        pool: &WorkerPool,
-    ) -> Result<FlowOutcome, FlowError> {
-        let n = self.problems.len();
-
-        // Each tile owns one pre-partitioned result slot: no locks, no
-        // contention, and every slot is written exactly once.
-        type TileResult = Result<(Vec<u32>, Duration), MethodError>;
-        let mut results: Vec<Option<TileResult>> = Vec::new();
-        results.resize_with(n, || None);
-        pool.for_each_slot(&mut results, |i, slot| {
-            *slot = Some(solve_one_tile(
-                &self.problems[i],
-                &self.budget,
-                config,
-                method,
-            ));
-        });
-
-        let mut per_tile = Vec::with_capacity(n);
-        for (i, slot) in results.into_iter().enumerate() {
-            // The pool claims every index exactly once: each slot is written.
-            let (counts, elapsed) = slot.expect("every tile visited")?; // pilfill: allow(unwrap)
-            per_tile.push((i, counts, elapsed));
-        }
-        self.assemble(method.name(), per_tile, Some(pool))
-    }
-
-    /// Runs one placement method against the prepared context.
+    /// Runs one placement method on the calling thread alone:
+    /// [`FlowContext::run_pool`] with a 1-lane pool.
     ///
     /// # Errors
     ///
@@ -941,12 +418,35 @@ impl<'d> FlowContext<'d> {
         config: &FlowConfig,
         method: &dyn FillMethod,
     ) -> Result<FlowOutcome, FlowError> {
-        let mut per_tile = Vec::with_capacity(self.problems.len());
-        for (i, problem) in self.problems.iter().enumerate() {
-            let (counts, elapsed) = solve_one_tile(problem, &self.budget, config, method)?;
+        self.run_pool(config, method, &WorkerPool::new(1))
+    }
+
+    /// Runs one placement method against the prepared context on the
+    /// caller's [`WorkerPool`]. Tiles are claimed dynamically (one
+    /// expensive tile does not serialize a static chunk of followers),
+    /// each writes its own result slot, and the delay evaluation is
+    /// sharded by slack column; results are folded in tile order, so the
+    /// outcome is bit-identical for every lane count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::Method`] if any tile solve fails (the first
+    /// failure in tile order).
+    pub fn run_pool(
+        &self,
+        config: &FlowConfig,
+        method: &(dyn FillMethod + Sync),
+        pool: &WorkerPool,
+    ) -> Result<FlowOutcome, FlowError> {
+        let results = pool.map(self.problems.len(), |i| {
+            solve_one_tile(&self.problems[i], &self.budget, config, method)
+        });
+        let mut per_tile = Vec::with_capacity(results.len());
+        for (i, result) in results.into_iter().enumerate() {
+            let (counts, elapsed) = result?;
             per_tile.push((i, counts, elapsed));
         }
-        self.assemble(method.name(), per_tile, None)
+        self.assemble(method.name(), per_tile, Some(pool))
     }
 
     /// Solves the single tile at row-major index `index` — budget lookup,
@@ -1097,17 +597,39 @@ impl<'d> FlowContext<'d> {
 }
 
 impl FlowContext<'static> {
-    /// [`FlowContext::rebuild_tracked`] for detached
-    /// ([`FlowContext::into_owned`]) contexts: the mutated `design` may
-    /// live arbitrarily briefly — the context clones it into its owned
-    /// frame instead of borrowing. The incremental machinery (and its
-    /// results) are exactly those of [`FlowContext::rebuild`]; a clone
-    /// (~60µs on T2) replaces the borrow, which is what lets a long-lived
-    /// context cache serve the edit→re-fill loop.
+    /// Incrementally rebuilds a detached ([`FlowContext::into_owned`])
+    /// context for a mutated `design`, reusing every cached artifact whose
+    /// inputs did not change, and reports which tiles' previously computed
+    /// solve results the rebuild invalidated ([`RebuildDirt`]) — the
+    /// contract a per-tile result cache layered above the context (the
+    /// serving layer) relies on. The context clones `design` into its
+    /// owned frame, so the mutated design may live arbitrarily briefly.
+    ///
+    /// The cache key is exact, not a hash: nets are diffed value-for-value
+    /// against the design the context was built from. For each changed net
+    /// its lines are re-extracted in place; if the net's segments moved,
+    /// the site columns its old and new buffer-expanded lines cover are
+    /// re-swept through the arena scan and their tiles' def-III slack is
+    /// patched per slab. Only the tile-grid columns containing a changed
+    /// site column get their [`TileProblem`]s rebuilt
+    /// ([`build_slab_problems`]) — value-only edits (a sink or timing
+    /// change) skip the sweep entirely, since columns depend only on
+    /// rects. The density map and budget are recomputed only when a
+    /// segment moved AND the recomputed map or slack actually differ;
+    /// otherwise the cached budget is reused (budgeting is a pure function
+    /// of the two). All clean columns and problems are kept bit-for-bit.
+    ///
+    /// Falls back to a full [`FlowContext::build_pool`] on `pool` —
+    /// reported via [`RebuildStats::full`] — when the change is not
+    /// localizable: a different config, die, rules, tech, layer table,
+    /// obstruction set or net count, a transposed working frame, or a
+    /// changed net whose line count on the target layer differs (line
+    /// indices would shift under every clean column).
     ///
     /// # Errors
     ///
-    /// See [`FlowContext::rebuild`].
+    /// See [`FlowError`]. On error the context is left in its previous
+    /// state (full-rebuild errors excepted).
     pub fn rebuild_owned(
         &mut self,
         design: &Design,
@@ -1115,15 +637,264 @@ impl FlowContext<'static> {
         pool: &WorkerPool,
     ) -> Result<(RebuildStats, RebuildDirt), FlowError> {
         match self.rebuild_incr(design, config)? {
-            IncrOutcome::NeedsFull => {
+            Some(done) => {
+                self.frame_design = Cow::Owned(design.clone());
+                Ok(done)
+            }
+            None => {
                 *self = FlowContext::build_pool(design, config, pool)?.into_owned();
                 Ok((RebuildStats::FULL, RebuildDirt::All))
             }
-            IncrOutcome::Done { stats, dirt } => {
-                self.frame_design = Cow::Owned(design.clone());
-                Ok((stats, dirt))
+        }
+    }
+
+    /// The incremental-rebuild body of [`FlowContext::rebuild_owned`].
+    /// Returns `None` when the change is not localizable; the caller then
+    /// replaces the whole context (partial line splices made before a
+    /// mid-diff bailout are overwritten wholesale). Never stores `design`
+    /// into the context.
+    fn rebuild_incr(
+        &mut self,
+        design: &Design,
+        config: &FlowConfig,
+    ) -> Result<Option<(RebuildStats, RebuildDirt)>, FlowError> {
+        let new_transposed = design
+            .layers
+            .get(config.layer.0)
+            .map(|l| l.dir.is_vertical())
+            .unwrap_or(false);
+        {
+            let old: &Design = &self.frame_design;
+            // The slab rebuild below is a definition-III construction
+            // (weaker definitions re-scan per tile anyway).
+            if *config != self.config
+                || config.def != SlackColumnDef::Three
+                || self.transposed
+                || new_transposed
+                || design.die != old.die
+                || design.rules != old.rules
+                || design.tech != old.tech
+                || design.layers != old.layers
+                || design.obstructions != old.obstructions
+                || design.nets.len() != old.nets.len()
+            {
+                return Ok(None);
             }
         }
+
+        let die = design.die;
+        let rules = design.rules;
+        let pitch = rules.site_pitch();
+        let n_sites = site_column_count(die, rules);
+        // Two dirt granularities. `resolve`: site columns whose tiles'
+        // problems must be rebuilt (any line change — weights feed the
+        // cost tables). `rescan`: site columns whose slack columns must be
+        // re-swept (geometry moved — columns depend only on rects, so a
+        // value-only edit like a sink-weight bump leaves them untouched,
+        // and with them the slack vector and the density map).
+        let mut resolve = vec![false; n_sites];
+        let mut rescan = vec![false; n_sites];
+        // Marks the site columns a line's buffer-expanded rect covers —
+        // exactly the columns whose sweep sees the line as an event.
+        let mark = |rect: Rect, dirty: &mut Vec<bool>| {
+            let expanded = Rect::new(
+                rect.left - rules.buffer,
+                rect.bottom,
+                rect.right + rules.buffer,
+                rect.top,
+            );
+            let clipped = expanded.intersection(&die);
+            if clipped.is_empty() || n_sites == 0 {
+                return;
+            }
+            let lo = units::index(((clipped.left - die.left) / pitch).max(0));
+            let hi = units::index((clipped.right - 1 - die.left) / pitch).min(n_sites - 1);
+            for s in dirty.iter_mut().take(hi + 1).skip(lo) {
+                *s = true;
+            }
+        };
+
+        // Diff nets value-for-value; re-extract changed ones in place.
+        let mut changed_nets = 0usize;
+        let mut geometry_changed = false;
+        let mut fresh: Vec<ActiveLine> = Vec::new();
+        let mut extract_scratch = ExtractScratch::default();
+        for ni in 0..design.nets.len() {
+            if design.nets[ni] == self.frame_design.nets[ni] {
+                continue;
+            }
+            changed_nets += 1;
+            let geometry = design.nets[ni].segments != self.frame_design.nets[ni].segments;
+            geometry_changed |= geometry;
+            fresh.clear();
+            extract_net_lines_with(
+                design,
+                config.layer,
+                NetId(ni),
+                &mut extract_scratch,
+                &mut fresh,
+            )?;
+            let range = self.net_line_ranges[ni].clone();
+            if fresh.len() != range.len() {
+                // Line indices after this net would shift; every clean
+                // column's below/above reference would dangle.
+                return Ok(None);
+            }
+            for l in self.lines[range.clone()].iter().chain(fresh.iter()) {
+                mark(l.rect, &mut resolve);
+                if geometry {
+                    mark(l.rect, &mut rescan);
+                }
+            }
+            for (slot, line) in self.lines[range].iter_mut().zip(fresh.drain(..)) {
+                *slot = line;
+            }
+        }
+        let dirty_site_columns = rescan.iter().filter(|&&d| d).count();
+        if !resolve.iter().any(|&d| d) {
+            let stats = RebuildStats {
+                full: false,
+                changed_nets,
+                dirty_site_columns: 0,
+                dirty_grid_columns: 0,
+                budget_reused: true,
+            };
+            return Ok(Some((stats, RebuildDirt::Tiles(Vec::new()))));
+        }
+
+        // Splice the column list: clean site runs keep their columns
+        // (a flat copy — `SlackColumn` is `Copy`), dirty runs are re-swept.
+        // Value-only edits rescan nothing: columns depend only on rects.
+        let grid = self.dissection.tiles();
+        let nx = grid.nx();
+        if dirty_site_columns > 0 {
+            let mut new_columns = Vec::with_capacity(self.columns.len());
+            let mut scratch = ScanScratch::default();
+            let mut site = 0usize;
+            let mut cursor = 0usize;
+            while site < n_sites {
+                let run_start = site;
+                let run_dirty = rescan[site];
+                while site < n_sites && rescan[site] == run_dirty {
+                    site += 1;
+                }
+                let run_cursor = cursor;
+                while cursor < self.columns.len() && self.columns[cursor].site_x < site {
+                    cursor += 1;
+                }
+                if run_dirty {
+                    scan_site_columns(
+                        &self.lines,
+                        die,
+                        rules,
+                        run_start..site,
+                        &mut scratch,
+                        &mut new_columns,
+                    );
+                } else {
+                    new_columns.extend_from_slice(&self.columns[run_cursor..cursor]);
+                }
+            }
+            self.columns = new_columns;
+        }
+
+        // Rebuild problems for tile-grid columns containing any changed
+        // site; patch slack only where the columns were actually re-swept.
+        let mark_grid = |sites: &[bool], dirty_grid: &mut Vec<bool>| {
+            for (s, d) in sites.iter().enumerate() {
+                if !d {
+                    continue;
+                }
+                let fx = die.left + units::coord(s) * pitch + (pitch - rules.feature_size) / 2;
+                if fx >= grid.bounds().left && fx < grid.bounds().right {
+                    let ix = units::index((fx - grid.bounds().left) / grid.pitch_x()).min(nx - 1);
+                    dirty_grid[ix] = true;
+                }
+            }
+        };
+        let mut dirty_grid = vec![false; nx];
+        let mut rescan_grid = vec![false; nx];
+        mark_grid(&resolve, &mut dirty_grid);
+        mark_grid(&rescan, &mut rescan_grid);
+        let ranges = slab_ranges(&self.columns, &self.dissection, rules);
+        let old_slack = self.slack.clone();
+        let mut dirty_grid_columns = 0usize;
+        for (ix, is_dirty) in dirty_grid.iter().enumerate() {
+            if !is_dirty {
+                continue;
+            }
+            dirty_grid_columns += 1;
+            let slab = build_slab_problems(
+                &self.lines,
+                &self.columns[ranges[ix].clone()],
+                &self.dissection,
+                &design.tech,
+                rules,
+                ix,
+            );
+            for (iy, p) in slab.into_iter().enumerate() {
+                self.problems[iy * nx + ix] = p;
+            }
+            if !rescan_grid[ix] {
+                continue;
+            }
+            // Def-III slack is a per-column sum binned into tiles, and a
+            // slab's columns only ever bin into its own grid column, so
+            // feeding just this slab patches exactly its tiles' slack
+            // (integer sums — bit-identical to the full recompute).
+            let slab_caps =
+                def_three_capacities(&self.columns[ranges[ix].clone()], &self.dissection, rules);
+            for iy in 0..grid.ny() {
+                self.slack[iy * nx + ix] = units::saturating_count(slab_caps[iy * nx + ix]);
+            }
+        }
+
+        // Density and budget are global, but budgeting is a pure function
+        // of the density map and the slack vector: an edit that changed
+        // line values without moving drawn area or slot counts (a timing
+        // or sink-weight update, say) leaves both inputs bit-identical,
+        // and then the cached budget IS what a fresh build would compute.
+        // When no segment moved at all, both inputs are untouched by
+        // construction and even the equality check is skipped.
+        let budget_reused = if geometry_changed {
+            self.density_scratch.recompute(design, config.layer);
+            let reused = self.density_scratch == self.density_map && self.slack == old_slack;
+            if !reused {
+                std::mem::swap(&mut self.density_map, &mut self.density_scratch);
+                self.density_before = self.density_map.analyze();
+                self.budget =
+                    budget_for(&self.density_map, &self.slack, rules.feature_area(), config)?;
+                self.budget_total = self.budget.total();
+            }
+            reused
+        } else {
+            true
+        };
+
+        // A changed budget may change any tile's allotment; otherwise
+        // only the rebuilt grid columns' tiles lost their problems.
+        let dirt = if budget_reused {
+            let mut tiles = Vec::with_capacity(dirty_grid_columns * grid.ny());
+            for iy in 0..grid.ny() {
+                for (ix, is_dirty) in dirty_grid.iter().enumerate() {
+                    if *is_dirty {
+                        tiles.push(iy * nx + ix);
+                    }
+                }
+            }
+            RebuildDirt::Tiles(tiles)
+        } else {
+            RebuildDirt::All
+        };
+
+        let stats = RebuildStats {
+            full: false,
+            changed_nets,
+            dirty_site_columns,
+            dirty_grid_columns,
+            budget_reused,
+        };
+        Ok(Some((stats, dirt)))
     }
 }
 
@@ -1134,7 +905,8 @@ fn tile_seed(seed: u64, cell: pilfill_geom::CellIndex) -> u64 {
         .wrapping_add(((cell.0 as u64) << 32) | cell.1 as u64)
 }
 
-/// Convenience wrapper: build a [`FlowContext`] and run one method.
+/// Convenience wrapper: build a [`FlowContext`] and run one method, both
+/// on the calling thread alone.
 ///
 /// # Errors
 ///
@@ -1147,32 +919,14 @@ pub fn run_flow(
     FlowContext::build(design, config)?.run(config, method)
 }
 
-/// The streamed fill pipeline: context build and tile solving fused into
-/// one pass.
-///
-/// After the shared prelude (extraction, arena scan, slack, density,
-/// budget — the budget is a barrier: no tile can be solved before every
-/// tile's slack is known), the tile-problem construction is *streamed*:
-/// a producer walks the tile-grid columns left to right, expanding each
-/// grid column's slab of global slack columns into its [`TileProblem`]s
-/// ([`build_slab_problems`]), and publishes each finished slab to the
-/// pool's lanes, which solve its tiles immediately while the producer
-/// moves on to the next slab. Wall-clock approaches
-/// `max(build, solve)` instead of `build + solve`.
-///
-/// Results are folded in row-major tile order, so the outcome — features,
-/// density, and every f64 accumulation in the delay impact — is
-/// bit-identical to [`FlowContext::build`] + [`FlowContext::run`] at any
-/// lane count (the per-tile RNG seeds depend only on the tile cell). On a
-/// single-CPU host (or a 1-lane pool) the producer and consumer run fused
-/// in one serial loop over the same order.
-///
-/// Definitions I/II have no slab decomposition; they fall back to
-/// build + run internally.
+/// Builds a [`FlowContext`] and runs one method, both on the caller's
+/// pool ([`FlowContext::build_pool`] + [`FlowContext::run_pool`]) — the
+/// path `pilfill fill` takes. The outcome is bit-identical to
+/// [`run_flow`] for every lane count.
 ///
 /// Returns the built context alongside the outcome so further methods can
-/// be run (or the context [rebuilt](FlowContext::rebuild)) without paying
-/// the setup again.
+/// be run (or the context [rebuilt](FlowContext::rebuild_owned)) without
+/// paying the setup again.
 ///
 /// # Errors
 ///
@@ -1183,132 +937,9 @@ pub fn run_flow_streamed<'d>(
     method: &(dyn FillMethod + Sync),
     pool: &WorkerPool,
 ) -> Result<(FlowContext<'d>, FlowOutcome), FlowError> {
-    run_flow_streamed_impl(design, config, method, pool, pool_is_parallel(pool))
-}
-
-/// [`run_flow_streamed`] without the single-CPU serial fallback —
-/// exercises the producer/consumer gate regardless of the host. Test-only.
-#[doc(hidden)]
-pub fn run_flow_streamed_forced<'d>(
-    design: &'d Design,
-    config: &FlowConfig,
-    method: &(dyn FillMethod + Sync),
-    pool: &WorkerPool,
-) -> Result<(FlowContext<'d>, FlowOutcome), FlowError> {
-    run_flow_streamed_impl(design, config, method, pool, pool.lanes() > 1)
-}
-
-fn run_flow_streamed_impl<'d>(
-    design: &'d Design,
-    config: &FlowConfig,
-    method: &(dyn FillMethod + Sync),
-    pool: &WorkerPool,
-    parallel: bool,
-) -> Result<(FlowContext<'d>, FlowOutcome), FlowError> {
-    if config.def != SlackColumnDef::Three {
-        let ctx = FlowContext::build_pool(design, config, pool)?;
-        let outcome = ctx.run_pool(config, method, pool)?;
-        return Ok((ctx, outcome));
-    }
-
-    let p = prelude(design, config)?;
-    let grid = p.dissection.tiles();
-    let (nx, ny) = (grid.nx(), grid.ny());
-    let ranges = slab_ranges(&p.columns, &p.dissection, p.frame_design.rules);
-
-    type TileResult = Result<(Vec<u32>, Duration), MethodError>;
-    let solve_tile = |problem: &TileProblem| -> TileResult {
-        solve_one_tile(problem, &p.budget, config, method)
-    };
-    let build_slab = |ix: usize| -> Vec<TileProblem> {
-        build_slab_problems(
-            &p.lines,
-            &p.columns[ranges[ix].clone()],
-            &p.dissection,
-            &p.frame_design.tech,
-            p.frame_design.rules,
-            ix,
-        )
-    };
-    let solve_slab = |_ix: usize, slab: &Vec<TileProblem>| -> Vec<TileResult> {
-        slab.iter().map(solve_tile).collect()
-    };
-
-    let (slabs, results) = if parallel {
-        pool.stream_map(nx, build_slab, solve_slab)
-    } else {
-        // Fused serial loop: produce slab `ix`, then consume it — the same
-        // per-tile order with no gate traffic.
-        let mut slabs = Vec::with_capacity(nx);
-        let mut results = Vec::with_capacity(nx);
-        for ix in 0..nx {
-            let slab = build_slab(ix);
-            results.push(solve_slab(ix, &slab));
-            slabs.push(slab);
-        }
-        (slabs, results)
-    };
-
-    // Fold slabs (column-major) into the row-major tile order; the fixed
-    // fold order is what makes the outcome bit-identical to the serial
-    // build + run at any lane count.
-    let mut problems = Vec::with_capacity(nx * ny);
-    let mut per_tile = Vec::with_capacity(nx * ny);
-    let mut slab_iters: Vec<_> = slabs.into_iter().map(Vec::into_iter).collect();
-    let mut result_iters: Vec<_> = results.into_iter().map(Vec::into_iter).collect();
-    for iy in 0..ny {
-        for ix in 0..nx {
-            // Every slab holds exactly `ny` tiles (build_slab_problems).
-            // pilfill: allow(unwrap)
-            let problem = slab_iters[ix].next().expect("slab tile count");
-            // pilfill: allow(unwrap)
-            let (counts, elapsed) = result_iters[ix].next().expect("slab result count")?;
-            per_tile.push((iy * nx + ix, counts, elapsed));
-            problems.push(problem);
-        }
-    }
-
-    let ctx = FlowContext {
-        frame_design: p.frame_design,
-        transposed: p.transposed,
-        config: config.clone(),
-        dissection: p.dissection,
-        lines: p.lines,
-        net_line_ranges: p.net_line_ranges,
-        columns: p.columns,
-        problems,
-        slack: p.slack,
-        budget: p.budget,
-        budget_total: p.budget_total,
-        density_before: p.density_before,
-        density_scratch: DensityMap::zeros(p.density_map.dissection()),
-        density_map: p.density_map,
-    };
-    let eval_pool = if parallel { Some(pool) } else { None };
-    let outcome = ctx.assemble(method.name(), per_tile, eval_pool)?;
+    let ctx = FlowContext::build_pool(design, config, pool)?;
+    let outcome = ctx.run_pool(config, method, pool)?;
     Ok((ctx, outcome))
-}
-
-/// Runs the flow for every layer of the design (the full-chip fill step:
-/// each layer gets its own dissection, budget and placement). `config`'s
-/// `layer` field is overridden per layer; all other settings are shared.
-///
-/// # Errors
-///
-/// Returns the first [`FlowError`] encountered.
-pub fn run_flow_all_layers(
-    design: &Design,
-    config: &FlowConfig,
-    method: &dyn FillMethod,
-) -> Result<Vec<(LayerId, FlowOutcome)>, FlowError> {
-    (0..design.layers.len())
-        .map(|li| {
-            let mut layer_config = config.clone();
-            layer_config.layer = LayerId(li);
-            let outcome = run_flow(design, &layer_config, method)?;
-            Ok((LayerId(li), outcome))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1444,26 +1075,12 @@ mod tests {
             let seq = ctx.run(&cfg, method).expect("seq");
             for threads in [1usize, 2, 8] {
                 let pool = WorkerPool::new(threads);
-                let runs = [
-                    ctx.run_parallel(&cfg, method, threads).expect("par"),
-                    ctx.run_pool(&cfg, method, &pool).expect("pooled"),
-                    ctx.run_pool_forced(&cfg, method, &pool).expect("forced"),
-                ];
-                for par in &runs {
-                    let tag = format!("{} @ {threads} threads", method.name());
-                    // Everything except wall-clock timing must be
-                    // bit-identical, including the sharded evaluation's
-                    // f64 accumulators inside `impact`.
-                    assert_eq!(seq.method, par.method, "{tag}");
-                    assert_eq!(seq.features, par.features, "{tag}");
-                    assert_eq!(seq.placed_features, par.placed_features, "{tag}");
-                    assert_eq!(seq.budget_total, par.budget_total, "{tag}");
-                    assert_eq!(seq.shortfall, par.shortfall, "{tag}");
-                    assert_eq!(seq.tiles, par.tiles, "{tag}");
-                    assert_eq!(seq.impact, par.impact, "{tag}");
-                    assert_eq!(seq.density_before, par.density_before, "{tag}");
-                    assert_eq!(seq.density_after, par.density_after, "{tag}");
-                }
+                let par = ctx.run_pool(&cfg, method, &pool).expect("pooled");
+                // Everything except wall-clock timing must be bit-identical,
+                // including the sharded evaluation's f64 accumulators
+                // inside `impact`.
+                let tag = format!("{} @ {threads} threads", method.name());
+                assert_outcomes_identical(&seq, &par, &tag);
             }
         }
     }
@@ -1475,18 +1092,16 @@ mod tests {
         let d = design();
         let cfg = config();
         let pool = WorkerPool::new(4);
-        let ctx = FlowContext::build_pool_forced(&d, &cfg, &pool).expect("pooled ctx");
+        let ctx = FlowContext::build_pool(&d, &cfg, &pool).expect("pooled ctx");
         let fresh_ctx = FlowContext::build(&d, &cfg).expect("fresh ctx");
         assert_eq!(ctx.problems, fresh_ctx.problems);
         assert_eq!(ctx.budget_total, fresh_ctx.budget_total);
 
-        let first = ctx
-            .run_pool_forced(&cfg, &IlpTwo, &pool)
-            .expect("first run");
-        let second = ctx
-            .run_pool_forced(&cfg, &IlpTwo, &pool)
-            .expect("second run");
-        let fresh = fresh_ctx.run_parallel(&cfg, &IlpTwo, 4).expect("fresh run");
+        let first = ctx.run_pool(&cfg, &IlpTwo, &pool).expect("first run");
+        let second = ctx.run_pool(&cfg, &IlpTwo, &pool).expect("second run");
+        let fresh = fresh_ctx
+            .run_pool(&cfg, &IlpTwo, &WorkerPool::new(4))
+            .expect("fresh run");
         for run in [&second, &fresh] {
             assert_eq!(first.features, run.features);
             assert_eq!(first.impact, run.impact);
@@ -1528,7 +1143,7 @@ mod tests {
             cfg.def = def;
             let seq = FlowContext::build(&d, &cfg).expect("seq build");
             for threads in [2usize, 8] {
-                let par = FlowContext::build_pool_forced(&d, &cfg, &WorkerPool::new(threads))
+                let par = FlowContext::build_pool(&d, &cfg, &WorkerPool::new(threads))
                     .expect("par build");
                 assert_eq!(seq.problems, par.problems, "{def} @ {threads} threads");
                 assert_eq!(seq.budget_total, par.budget_total);
@@ -1544,13 +1159,14 @@ mod tests {
     fn all_layers_flow_covers_every_layer() {
         let d = design();
         let cfg = config();
-        let outcomes = run_flow_all_layers(&d, &cfg, &GreedyFill).expect("all layers");
-        assert_eq!(outcomes.len(), d.layers.len());
-        for (layer, o) in &outcomes {
-            assert_eq!(o.placed_features, o.budget_total, "layer {}", layer.0);
+        for li in 0..d.layers.len() {
+            let mut layer_cfg = cfg.clone();
+            layer_cfg.layer = LayerId(li);
+            let o = run_flow(&d, &layer_cfg, &GreedyFill).expect("layer flow");
+            assert_eq!(o.placed_features, o.budget_total, "layer {li}");
             // Features must clear the wires of their own layer.
             let size = d.rules.feature_size;
-            for (_, _, seg) in d.segments_on_layer(*layer) {
+            for (_, _, seg) in d.segments_on_layer(LayerId(li)) {
                 let keepout = seg.rect().grown(d.rules.buffer);
                 for f in &o.features {
                     assert!(!f.rect(size).overlaps(&keepout));
@@ -1616,41 +1232,30 @@ mod tests {
     }
 
     #[test]
-    fn streamed_run_is_bit_identical_to_serial_for_every_lane_count() {
+    fn pooled_flow_is_bit_identical_to_serial_for_every_lane_count() {
         let d = design();
-        let cfg = config();
-        let ctx = FlowContext::build(&d, &cfg).expect("ctx");
-        for method in [
-            &NormalFill as &(dyn crate::methods::FillMethod + Sync),
-            &GreedyFill,
-            &IlpTwo,
-        ] {
-            let serial = ctx.run(&cfg, method).expect("serial");
-            for lanes in [1usize, 2, 4, 8] {
-                let pool = WorkerPool::new(lanes);
-                let (sctx, streamed) =
-                    run_flow_streamed_forced(&d, &cfg, method, &pool).expect("streamed");
-                let tag = format!("{} @ {lanes} lanes", method.name());
-                assert_outcomes_identical(&serial, &streamed, &tag);
-                assert_eq!(sctx.problems, ctx.problems, "{tag}");
-                assert_eq!(sctx.columns, ctx.columns, "{tag}");
-                assert_eq!(sctx.budget, ctx.budget, "{tag}");
-                // The public (host-aware) entry must agree too.
-                let (_, public) = run_flow_streamed(&d, &cfg, method, &pool).expect("public");
-                assert_outcomes_identical(&serial, &public, &tag);
+        for def in [SlackColumnDef::Two, SlackColumnDef::Three] {
+            let mut cfg = config();
+            cfg.def = def;
+            let ctx = FlowContext::build(&d, &cfg).expect("ctx");
+            for method in [
+                &NormalFill as &(dyn crate::methods::FillMethod + Sync),
+                &GreedyFill,
+                &IlpTwo,
+            ] {
+                let serial = ctx.run(&cfg, method).expect("serial");
+                for lanes in [1usize, 2, 4, 8] {
+                    let pool = WorkerPool::new(lanes);
+                    let (pctx, pooled) =
+                        run_flow_streamed(&d, &cfg, method, &pool).expect("pooled");
+                    let tag = format!("{def} {} @ {lanes} lanes", method.name());
+                    assert_outcomes_identical(&serial, &pooled, &tag);
+                    assert_eq!(pctx.problems, ctx.problems, "{tag}");
+                    assert_eq!(pctx.columns, ctx.columns, "{tag}");
+                    assert_eq!(pctx.budget, ctx.budget, "{tag}");
+                }
             }
         }
-    }
-
-    #[test]
-    fn streamed_run_falls_back_for_weaker_definitions() {
-        let d = design();
-        let mut cfg = config();
-        cfg.def = SlackColumnDef::Two;
-        let pool = WorkerPool::new(2);
-        let (ctx, streamed) = run_flow_streamed(&d, &cfg, &GreedyFill, &pool).expect("streamed");
-        let serial = ctx.run(&cfg, &GreedyFill).expect("serial");
-        assert_outcomes_identical(&serial, &streamed, "def II fallback");
     }
 
     /// Thicken one segment of one net — a localized geometry change that
@@ -1680,8 +1285,8 @@ mod tests {
         let pool = WorkerPool::new(1);
         let d2 = mutate_one_segment(&d);
 
-        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
-        let stats = ctx.rebuild(&d2, &cfg, &pool).expect("rebuild");
+        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
+        let (stats, _) = ctx.rebuild_owned(&d2, &cfg, &pool).expect("rebuild");
         assert!(!stats.full, "a one-segment change must stay incremental");
         assert_eq!(stats.changed_nets, 1);
         assert!(stats.dirty_site_columns > 0);
@@ -1714,8 +1319,8 @@ mod tests {
         let sink = d2.nets[0].sinks[0];
         d2.nets[0].sinks.push(sink);
 
-        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
-        let stats = ctx.rebuild(&d2, &cfg, &pool).expect("rebuild");
+        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
+        let (stats, _) = ctx.rebuild_owned(&d2, &cfg, &pool).expect("rebuild");
         assert!(!stats.full, "a sink edit must stay incremental");
         assert_eq!(stats.changed_nets, 1);
         assert_eq!(
@@ -1749,9 +1354,10 @@ mod tests {
         let d = design();
         let cfg = config();
         let pool = WorkerPool::new(1);
-        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
+        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
         let before_problems = ctx.problems.clone();
-        let stats = ctx.rebuild(&d, &cfg, &pool).expect("rebuild");
+        let (stats, dirt) = ctx.rebuild_owned(&d, &cfg, &pool).expect("rebuild");
+        assert_eq!(dirt, RebuildDirt::Tiles(Vec::new()));
         assert_eq!(
             stats,
             RebuildStats {
@@ -1772,20 +1378,24 @@ mod tests {
         let pool = WorkerPool::new(1);
 
         // Config change -> full.
-        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
+        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
         let mut cfg2 = cfg.clone();
         cfg2.weighted = true;
-        assert!(ctx.rebuild(&d, &cfg2, &pool).expect("rebuild").full);
+        assert!(ctx.rebuild_owned(&d, &cfg2, &pool).expect("rebuild").0.full);
 
         // Net-count change -> full.
-        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
+        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
         let mut d2 = d.clone();
         d2.nets.pop();
-        let stats = ctx.rebuild(&d2, &cfg, &pool).expect("rebuild");
+        let (stats, dirt) = ctx.rebuild_owned(&d2, &cfg, &pool).expect("rebuild");
         assert!(stats.full);
+        assert_eq!(dirt, RebuildDirt::All);
         let fresh = FlowContext::build(&d2, &cfg).expect("fresh");
         assert_eq!(ctx.problems, fresh.problems);
         assert_eq!(ctx.budget, fresh.budget);
+        let a = ctx.run(&cfg, &IlpTwo).expect("run");
+        let b = fresh.run(&cfg, &IlpTwo).expect("run");
+        assert_outcomes_identical(&a, &b, "full fallback");
     }
 
     #[test]
@@ -1813,38 +1423,6 @@ mod tests {
         drop(d); // the owned context must not depend on the design
         let b = owned.run(&cfg, &IlpTwo).expect("owned run");
         assert_outcomes_identical(&a, &b, "into_owned");
-    }
-
-    #[test]
-    fn rebuild_owned_matches_borrowed_rebuild() {
-        let d = design();
-        let cfg = config();
-        let pool = WorkerPool::new(1);
-        let d2 = mutate_one_segment(&d);
-
-        let mut borrowed = FlowContext::build(&d, &cfg).expect("ctx");
-        let mut owned = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
-        let (stats_b, dirt_b) = borrowed.rebuild_tracked(&d2, &cfg, &pool).expect("rebuild");
-        let (stats_o, dirt_o) = owned
-            .rebuild_owned(&d2, &cfg, &pool)
-            .expect("rebuild owned");
-        assert_eq!(stats_b, stats_o);
-        assert_eq!(dirt_b, dirt_o);
-        assert!(!stats_o.full);
-        let a = borrowed.run(&cfg, &IlpTwo).expect("run");
-        let b = owned.run(&cfg, &IlpTwo).expect("run");
-        assert_outcomes_identical(&a, &b, "rebuild_owned vs rebuild");
-
-        // Structural fallback works on the owned path too.
-        let mut d3 = d2.clone();
-        d3.nets.pop();
-        let (stats, dirt) = owned.rebuild_owned(&d3, &cfg, &pool).expect("full");
-        assert!(stats.full);
-        assert_eq!(dirt, RebuildDirt::All);
-        let fresh = FlowContext::build(&d3, &cfg).expect("fresh");
-        let a = owned.run(&cfg, &IlpTwo).expect("run");
-        let b = fresh.run(&cfg, &IlpTwo).expect("run");
-        assert_outcomes_identical(&a, &b, "owned full fallback");
     }
 
     #[test]
@@ -1885,12 +1463,12 @@ mod tests {
         let sink = d2.nets[ni].sinks[0];
         d2.nets[ni].sinks.push(sink);
 
-        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
+        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
         let mut cached: Vec<Vec<u32>> = Vec::new();
         for i in 0..ctx.problems().len() {
             cached.push(ctx.solve_tile(&cfg, &IlpTwo, i).expect("tile").0);
         }
-        let (stats, dirt) = ctx.rebuild_tracked(&d2, &cfg, &pool).expect("rebuild");
+        let (stats, dirt) = ctx.rebuild_owned(&d2, &cfg, &pool).expect("rebuild");
         assert!(!stats.full);
         assert!(stats.budget_reused);
         let RebuildDirt::Tiles(dirty) = &dirt else {
@@ -1915,23 +1493,5 @@ mod tests {
             .run(&cfg, &IlpTwo)
             .expect("fresh run");
         assert_outcomes_identical(&fresh, &replayed, "dirty-tile replay");
-    }
-
-    #[test]
-    fn forced_parallel_paths_match_the_serial_fallback() {
-        // On any host, the forced multi-lane build/run must equal the
-        // public entry points (which may fall back to serial on 1 CPU).
-        let d = design();
-        let cfg = config();
-        let pool = WorkerPool::new(4);
-        let ctx = FlowContext::build_pool(&d, &cfg, &pool).expect("ctx");
-        let forced = FlowContext::build_pool_forced(&d, &cfg, &pool).expect("forced ctx");
-        assert_eq!(ctx.problems, forced.problems);
-        assert_eq!(ctx.budget_total, forced.budget_total);
-        let a = ctx.run_pool(&cfg, &IlpTwo, &pool).expect("run");
-        let b = forced
-            .run_pool_forced(&cfg, &IlpTwo, &pool)
-            .expect("forced run");
-        assert_outcomes_identical(&a, &b, "forced vs fallback");
     }
 }

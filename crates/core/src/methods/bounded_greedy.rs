@@ -70,6 +70,7 @@ impl FillMethod for BoundedGreedy {
             let over = col
                 .adjacent_nets
                 .iter()
+                .flatten()
                 .any(|n| net_delay.get(n).copied().unwrap_or(0.0) + cost > self.max_net_delay);
             if over {
                 deferred.push(i);
@@ -77,8 +78,8 @@ impl FillMethod for BoundedGreedy {
             }
             counts[i] = take;
             left -= take;
-            for n in &col.adjacent_nets {
-                *net_delay.entry(*n).or_insert(0.0) += cost;
+            for n in col.adjacent_nets.into_iter().flatten() {
+                *net_delay.entry(n).or_insert(0.0) += cost;
             }
         }
         // The density budget always wins: relax the bound if needed, still
@@ -106,8 +107,8 @@ pub fn net_delays(problem: &TileProblem, counts: &[u32], weighted: bool) -> Hash
             continue;
         }
         let cost = col.cost_exact(m, weighted);
-        for n in &col.adjacent_nets {
-            *out.entry(*n).or_insert(0.0) += cost;
+        for n in col.adjacent_nets.into_iter().flatten() {
+            *out.entry(n).or_insert(0.0) += cost;
         }
     }
     out
@@ -148,9 +149,9 @@ mod tests {
         // not two, diverting the second batch onto net 1.
         use pilfill_layout::NetId;
         let mut tile = synthetic_tile(&[(2_500, 3, 1.0), (2_500, 3, 1.01), (2_500, 3, 1.3)], 0);
-        tile.columns[0].adjacent_nets = vec![NetId(0)];
-        tile.columns[1].adjacent_nets = vec![NetId(0)];
-        tile.columns[2].adjacent_nets = vec![NetId(1)];
+        tile.columns[0].adjacent_nets = [Some(NetId(0)), None];
+        tile.columns[1].adjacent_nets = [Some(NetId(0)), None];
+        tile.columns[2].adjacent_nets = [Some(NetId(1)), None];
 
         let plain = GreedyFill.place(&tile, 6, false, &mut rng()).expect("g");
         assert_eq!(plain, vec![3, 3, 0]);

@@ -65,7 +65,12 @@ impl From<pilfill_solver::SolveError> for MethodError {
 }
 
 /// A per-tile fill placement strategy.
-pub trait FillMethod {
+///
+/// Methods are `Sync`: the flow solves tiles on a shared [`WorkerPool`]
+/// (`FlowContext::run_pool`), every lane borrowing the same method.
+///
+/// [`WorkerPool`]: pilfill_exec::WorkerPool
+pub trait FillMethod: Sync {
     /// Short name for reports ("Normal", "ILP-I", ...).
     fn name(&self) -> &'static str;
 
@@ -126,7 +131,7 @@ pub(crate) mod testutil {
                     alpha_unweighted: alpha,
                     table: Some(CapTable::build(&model, d, w, cap)),
                     linear_cap_per_feature: model.delta_cap_linear(1, d, w),
-                    adjacent_nets: vec![pilfill_layout::NetId(i)],
+                    adjacent_nets: [Some(pilfill_layout::NetId(i)), None],
                 }
             })
             .collect();
@@ -139,7 +144,7 @@ pub(crate) mod testutil {
                 alpha_unweighted: 0.0,
                 table: None,
                 linear_cap_per_feature: 0.0,
-                adjacent_nets: Vec::new(),
+                adjacent_nets: [None; 2],
             });
         }
         TileProblem {

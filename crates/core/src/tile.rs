@@ -13,7 +13,6 @@
 //!   column inside the tile keeps its association with active lines in
 //!   adjacent tiles. This is the most accurate definition and the default.
 
-use crate::layout::DEF_THREE_SHARD_COLUMNS as DEF_THREE_SHARD;
 use crate::{ActiveLine, SlackColumn, Slots};
 use pilfill_density::FixedDissection;
 use pilfill_exec::WorkerPool;
@@ -65,9 +64,11 @@ pub struct TileColumn {
     /// Linearized (Eq. 6) incremental capacitance per feature; zero for
     /// zero-cost columns. Used by ILP-I only.
     pub linear_cap_per_feature: f64,
-    /// Nets of the adjacent lines (0-2 entries; deduplicated when both
-    /// sides belong to the same net).
-    pub adjacent_nets: Vec<NetId>,
+    /// Nets of the adjacent lines, filled front first (deduplicated when
+    /// both sides belong to the same net). Inline rather than a `Vec`: a
+    /// column has at most two, and a T1 build has ~8,500 columns, each
+    /// of which would otherwise allocate and later free one.
+    pub adjacent_nets: [Option<NetId>; 2],
 }
 
 impl TileColumn {
@@ -146,7 +147,8 @@ fn make_tile_column(
     let center_x = feature_x + rules.feature_size / 2;
     let mut alpha_w = 0.0;
     let mut alpha_u = 0.0;
-    let mut adjacent_nets: Vec<NetId> = Vec::with_capacity(2);
+    let mut adjacent_nets = [None; 2];
+    let mut nets = 0;
     for idx in [col.below, col.above].into_iter().flatten() {
         // u32 -> usize is widening on every supported target.
         let line = &lines[idx as usize]; // pilfill: allow(as-cast)
@@ -154,8 +156,9 @@ fn make_tile_column(
         alpha_u += r;
         alpha_w += line.weight as f64 * r;
         if let Some(net) = line.net {
-            if !adjacent_nets.contains(&net) {
-                adjacent_nets.push(net);
+            if !adjacent_nets.contains(&Some(net)) {
+                adjacent_nets[nets] = Some(net);
+                nets += 1;
             }
         }
     }
@@ -212,27 +215,6 @@ fn for_each_row_chunk(
         f((ix, iy), col.slots.slice(start, end - start));
         start = end;
     }
-}
-
-/// Definition III worker: expands one contiguous chunk of global columns
-/// into `(tile index, column)` pairs, preserving column order within the
-/// chunk.
-fn def_three_chunk(
-    lines: &[ActiveLine],
-    chunk: &[SlackColumn],
-    grid: &Grid,
-    rules: FillRules,
-    model: &CouplingModel,
-) -> Vec<(usize, TileColumn)> {
-    let mut out = Vec::new();
-    for col in chunk {
-        let fx = col.feature_x(rules);
-        for_each_row_chunk(col, fx, grid, |(ix, iy), slots| {
-            let tc = make_tile_column(lines, col, slots, rules, model);
-            out.push((iy * grid.nx() + ix, tc));
-        });
-    }
-    out
 }
 
 /// Per-tile definition-III fill capacities (row-major `iy * nx + ix`)
@@ -295,7 +277,7 @@ pub fn slab_ranges(
 /// scan (see [`slab_ranges`]). Feeding each slab through the same expansion
 /// as the full build, in the same column order, makes the per-tile output
 /// bit-identical to [`build_tile_problems`]; this is the unit of work of
-/// the streamed pipeline and the rebuild cache.
+/// the pooled build and of the rebuild cache.
 pub fn build_slab_problems(
     lines: &[ActiveLine],
     slab: &[SlackColumn],
@@ -306,17 +288,31 @@ pub fn build_slab_problems(
 ) -> Vec<TileProblem> {
     let model = CouplingModel::new(tech);
     let grid = dissection.tiles();
-    let nx = grid.nx();
-    let mut problems: Vec<TileProblem> = (0..grid.ny())
-        .map(|iy| TileProblem {
+    // Size every tile's column list exactly before filling it: no
+    // regrowth, no spare capacity held by a cached context.
+    let mut sizes = vec![0usize; grid.ny()];
+    for col in slab {
+        for_each_row_chunk(col, col.feature_x(rules), &grid, |(_, iy), _| {
+            sizes[iy] += 1
+        });
+    }
+    let mut problems: Vec<TileProblem> = sizes
+        .into_iter()
+        .enumerate()
+        .map(|(iy, n)| TileProblem {
             cell: (ix, iy),
             rect: grid.cell_rect((ix, iy)),
-            columns: Vec::new(),
+            columns: Vec::with_capacity(n),
         })
         .collect();
-    for (idx, tc) in def_three_chunk(lines, slab, &grid, rules, &model) {
-        debug_assert_eq!(idx % nx, ix, "slab column escaped its grid column");
-        problems[idx / nx].columns.push(tc);
+    // Each global column's slots go to the tiles containing them; the
+    // column keeps its true line associations.
+    for col in slab {
+        for_each_row_chunk(col, col.feature_x(rules), &grid, |(cx, iy), slots| {
+            debug_assert_eq!(cx, ix, "slab column escaped its grid column");
+            let tc = make_tile_column(lines, col, slots, rules, &model);
+            problems[iy].columns.push(tc);
+        });
     }
     problems
 }
@@ -360,36 +356,19 @@ pub fn build_tile_problems(
     rules: FillRules,
     def: SlackColumnDef,
 ) -> Vec<TileProblem> {
-    build_tile_problems_parallel(lines, global_columns, dissection, tech, rules, def, 1)
-}
-
-/// Parallel variant of [`build_tile_problems`]: spins up a transient
-/// [`WorkerPool`] with `threads` lanes and delegates to
-/// [`build_tile_problems_pool`]. Callers building repeatedly (the flow,
-/// the benches) should hold a pool and call the pool variant directly to
-/// amortize worker spawn-up.
-pub fn build_tile_problems_parallel(
-    lines: &[ActiveLine],
-    global_columns: &[SlackColumn],
-    dissection: &FixedDissection,
-    tech: &Tech,
-    rules: FillRules,
-    def: SlackColumnDef,
-    threads: usize,
-) -> Vec<TileProblem> {
-    let pool = WorkerPool::new(threads);
+    let pool = WorkerPool::new(1);
     build_tile_problems_pool(lines, global_columns, dissection, tech, rules, def, &pool)
 }
 
 /// Pool-backed tile-problem build: work items are claimed dynamically from
 /// `pool`'s lanes, and results land in pre-partitioned slots merged in
-/// index order, so the output is identical to the sequential build for
-/// every lane count.
+/// index order, so the output is identical for every lane count.
 ///
-/// Definition III shards the global column list into fixed-size chunks
-/// (each expanding to `(tile, column)` pairs, concatenated in shard
-/// order); definitions I and II treat each tile as one work item filling
-/// its own `TileProblem` slot in place.
+/// Definition III maps the lanes over grid columns: each item is one
+/// grid column's slab of the global scan ([`slab_ranges`]), expanded by
+/// [`build_slab_problems`], and the column-major slabs are folded into
+/// row-major order. Definitions I and II treat each tile as one work item
+/// filling its own `TileProblem` slot in place.
 pub fn build_tile_problems_pool(
     lines: &[ActiveLine],
     global_columns: &[SlackColumn],
@@ -399,8 +378,27 @@ pub fn build_tile_problems_pool(
     def: SlackColumnDef,
     pool: &WorkerPool,
 ) -> Vec<TileProblem> {
-    let model = CouplingModel::new(tech);
     let grid = dissection.tiles();
+    if def == SlackColumnDef::Three {
+        let ranges = slab_ranges(global_columns, dissection, rules);
+        let slabs = pool.map(ranges.len(), |ix| {
+            let slab = &global_columns[ranges[ix].clone()];
+            build_slab_problems(lines, slab, dissection, tech, rules, ix)
+        });
+        // Every slab holds exactly `ny` tiles, so taking one tile from
+        // each slab in turn yields the row-major order.
+        let mut slabs: Vec<_> = slabs.into_iter().map(Vec::into_iter).collect();
+        let mut problems = Vec::with_capacity(grid.len());
+        for _ in 0..grid.ny() {
+            problems.extend(slabs.iter_mut().filter_map(Iterator::next));
+        }
+        return problems;
+    }
+
+    // Per-tile scan: lines are clipped to the tile, so columns bounded by
+    // geometry outside the tile lose their association (definition II) or
+    // are dropped entirely (definition I).
+    let model = CouplingModel::new(tech);
     let mut problems: Vec<TileProblem> = grid
         .indices()
         .map(|cell| TileProblem {
@@ -409,33 +407,11 @@ pub fn build_tile_problems_pool(
             columns: Vec::new(),
         })
         .collect();
-
-    match def {
-        SlackColumnDef::Three => {
-            // Distribute each global column's slots to the tiles containing
-            // them; the column keeps its true line associations.
-            let shards: Vec<&[SlackColumn]> = global_columns.chunks(DEF_THREE_SHARD).collect();
-            let parts = pool.map(shards.len(), |si| {
-                def_three_chunk(lines, shards[si], &grid, rules, &model)
-            });
-            for part in parts {
-                for (idx, tc) in part {
-                    problems[idx].columns.push(tc);
-                }
-            }
-        }
-        SlackColumnDef::One | SlackColumnDef::Two => {
-            // Per-tile scan: lines are clipped to the tile, so columns
-            // bounded by geometry outside the tile lose their association
-            // (definition II) or are dropped entirely (definition I).
-            pool.for_each_slot(&mut problems, |_, problem| {
-                let mut scratch = crate::ScanScratch::default();
-                let mut cols = Vec::new();
-                def_one_two_tile(lines, problem, rules, &model, def, &mut scratch, &mut cols);
-            });
-        }
-    }
-
+    pool.for_each_slot(&mut problems, |_, problem| {
+        let mut scratch = crate::ScanScratch::default();
+        let mut cols = Vec::new();
+        def_one_two_tile(lines, problem, rules, &model, def, &mut scratch, &mut cols);
+    });
     problems
 }
 

@@ -30,9 +30,8 @@
 //! - **Cooperative abort.** A request submitted with an abort flag
 //!   ([`FairPool::run_abortable`], or the `abort` argument of
 //!   [`FairPool::run_slots`]) is cancelled between batches once the flag
-//!   is raised — the gate-abort protocol the streamed flow already uses —
-//!   so a disconnected client releases its remaining turns instead of
-//!   wedging the pool.
+//!   is raised, so a disconnected client releases its remaining turns
+//!   instead of wedging the pool.
 //!
 //! Determinism is unaffected by any of this: the scheduler only decides
 //! *when* index ranges run, never what they compute, and every index

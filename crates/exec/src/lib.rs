@@ -114,53 +114,6 @@ struct JobCore<'a> {
     panicked: AtomicBool,
     /// First panic payload, re-raised on the submitting thread.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Streamed jobs only: lanes may not run an index until the producer
-    /// has published it past this watermark.
-    gate: Option<&'a ReadyGate>,
-}
-
-/// Ready watermark for streamed jobs: the producer publishes `ready = k`
-/// once items `0..k` are fully written, and consuming lanes park on the
-/// condvar when the cursor catches up with the watermark. The store is
-/// `Release` and the loads `Acquire`, so a lane that observes `ready > i`
-/// also observes every write the producer made to item `i`.
-#[derive(Debug, Default)]
-struct ReadyGate {
-    ready: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl ReadyGate {
-    /// Publishes items `0..upto` as ready and wakes parked lanes. Taking
-    /// the lock around the store closes the check-then-wait race in
-    /// [`ReadyGate::wait_past`].
-    fn publish(&self, upto: usize) {
-        let _guard = lock(&self.lock);
-        self.ready.store(upto, Ordering::Release);
-        self.cv.notify_all();
-    }
-
-    /// Blocks until item `i` is ready (`ready > i`). Returns `false` if the
-    /// job aborted (a lane or the producer panicked) before that happened.
-    fn wait_past(&self, i: usize, core: &JobCore<'_>) -> bool {
-        loop {
-            if core.panicked.load(Ordering::Relaxed) {
-                return false;
-            }
-            if self.ready.load(Ordering::Acquire) > i {
-                return true;
-            }
-            let guard = lock(&self.lock);
-            if self.ready.load(Ordering::Acquire) > i {
-                return true;
-            }
-            if core.panicked.load(Ordering::Relaxed) {
-                return false;
-            }
-            drop(wait_on(&self.cv, guard));
-        }
-    }
 }
 
 impl WorkerPool {
@@ -201,13 +154,6 @@ impl WorkerPool {
     }
 
     /// The number of lanes (worker threads plus the submitting thread).
-    pub fn threads(&self) -> usize {
-        self.lanes
-    }
-
-    /// Alias for [`WorkerPool::threads`]: the lane count callers should
-    /// compare against available parallelism when deciding whether the
-    /// pooled path is worth its coordination cost.
     pub fn lanes(&self) -> usize {
         self.lanes
     }
@@ -229,10 +175,7 @@ impl WorkerPool {
     /// exactly once, the result is independent of scheduling: bit-identical
     /// for every lane count.
     pub fn for_each_slot<T: Send>(&self, out: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-        let slots = SlotWriter {
-            ptr: out.as_mut_ptr(),
-            len: out.len(),
-        };
+        let slots = SlotWriter::new(out);
         let job = move |i: usize| {
             // SAFETY: `run` claims each index exactly once across all
             // lanes, so slot `i` is touched by exactly one thread, and
@@ -256,137 +199,6 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Streams `n` items through a single producer into a parallel
-    /// consumer: `producer(k)` runs on the calling thread in index order,
-    /// each finished item is published through a ready watermark, and pool
-    /// lanes claim published indices with the same adaptive cursor as
-    /// [`WorkerPool::run`] — so consumption of item 0 overlaps production
-    /// of item 1, and wall-clock approaches max(produce, consume) instead
-    /// of produce + consume.
-    ///
-    /// Returns the produced items and the consumer results, both in index
-    /// order. Because every index owns disjoint slots in both vectors and
-    /// the caller folds them in index order, the output is bit-identical
-    /// for every lane count. On a 1-lane pool (or a reentrant submission)
-    /// this degrades to a fused serial loop: produce item `k`, consume item
-    /// `k`, repeat — no threads are woken.
-    ///
-    /// Panics from the producer or any consumer lane are re-raised on the
-    /// calling thread after all lanes have stopped.
-    pub fn stream_map<T, R>(
-        &self,
-        n: usize,
-        mut producer: impl FnMut(usize) -> T,
-        consumer: impl Fn(usize, &T) -> R + Sync,
-    ) -> (Vec<T>, Vec<R>)
-    where
-        T: Send + Sync,
-        R: Send,
-    {
-        let fused_serial = |producer: &mut dyn FnMut(usize) -> T| {
-            let mut items = Vec::with_capacity(n);
-            let mut results = Vec::with_capacity(n);
-            for i in 0..n {
-                let item = producer(i);
-                results.push(consumer(i, &item));
-                items.push(item);
-            }
-            (items, results)
-        };
-        if self.handles.is_empty() || n <= 1 {
-            return fused_serial(&mut producer);
-        }
-
-        let mut items: Vec<Option<T>> = Vec::new();
-        items.resize_with(n, || None);
-        let mut results: Vec<Option<R>> = Vec::new();
-        results.resize_with(n, || None);
-        let gate = ReadyGate::default();
-        let item_slots = SlotWriter {
-            ptr: items.as_mut_ptr(),
-            len: n,
-        };
-        let result_slots = SlotWriter {
-            ptr: results.as_mut_ptr(),
-            len: n,
-        };
-        let consumer_ref = &consumer;
-        let job = move |i: usize| {
-            // SAFETY: a lane only reaches index `i` after the gate
-            // published `ready > i` (Acquire), so the producer's write to
-            // slot `i` is complete and visible, and the producer never
-            // touches a published slot again. Each index is claimed exactly
-            // once, so the result slot is unaliased.
-            unsafe {
-                item_slots.with(i, |slot| {
-                    // Invariant: publish happens only after the write.
-                    // pilfill: allow(unwrap)
-                    let item = slot.as_ref().expect("gate published an unwritten slot");
-                    let r = consumer_ref(i, item);
-                    result_slots.with(i, |out| *out = Some(r));
-                });
-            }
-        };
-        let core = JobCore {
-            cursor: AtomicUsize::new(0),
-            n,
-            lanes: self.lanes.min(n),
-            f: &job,
-            panicked: AtomicBool::new(false),
-            panic: Mutex::new(None),
-            gate: Some(&gate),
-        };
-        if !self.try_open_job(&core) {
-            // Reentrant submission from inside a live job: claiming the
-            // shared cursor would deadlock the outer job, so run the fused
-            // serial loop on this lane instead.
-            drop(core);
-            return fused_serial(&mut producer);
-        }
-
-        // Produce on this thread while lanes consume behind the watermark.
-        let produced = catch_unwind(AssertUnwindSafe(|| {
-            for k in 0..n {
-                let item = producer(k);
-                // SAFETY: slot `k` is unpublished (`ready <= k`), so no
-                // lane reads it yet; only this thread writes it.
-                unsafe { item_slots.with(k, |slot| *slot = Some(item)) };
-                gate.publish(k + 1);
-            }
-        }));
-        match produced {
-            Ok(()) => {
-                // The submitter joins consumption once production is done.
-                claim_loop(&core);
-            }
-            Err(payload) => {
-                core.panicked.store(true, Ordering::Relaxed);
-                let mut slot = lock(&core.panic);
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-                drop(slot);
-                // Wake parked lanes so they observe the abort.
-                gate.publish(n);
-            }
-        }
-        self.close_job(&core);
-
-        fn unwrap_all<V>(v: Vec<Option<V>>, what: &str) -> Vec<V> {
-            v.into_iter()
-                .map(|slot| {
-                    // The job completed without panicking, so every slot
-                    // was written. pilfill: allow(unwrap)
-                    slot.expect(what)
-                })
-                .collect()
-        }
-        (
-            unwrap_all(items, "streamed job produced every item"),
-            unwrap_all(results, "streamed job consumed every item"),
-        )
-    }
-
     fn run_erased(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
         if n == 0 {
             return;
@@ -407,7 +219,6 @@ impl WorkerPool {
             f,
             panicked: AtomicBool::new(false),
             panic: Mutex::new(None),
-            gate: None,
         };
         if !self.try_open_job(&core) {
             // Reentrant submission from inside a job: claiming the
@@ -513,8 +324,6 @@ fn worker_loop(shared: &Shared) {
 
 /// One lane's claim loop: grab an adaptive batch of indices from the
 /// cursor, run them, repeat until the cursor is drained or a lane panicked.
-/// Streamed jobs additionally clamp each batch to the published watermark
-/// and park on the gate while the producer is behind.
 fn claim_loop(core: &JobCore<'_>) {
     loop {
         if core.panicked.load(Ordering::Relaxed) {
@@ -524,18 +333,7 @@ fn claim_loop(core: &JobCore<'_>) {
         if claimed >= core.n {
             return;
         }
-        let mut limit = core.n;
-        if let Some(gate) = core.gate {
-            let ready = gate.ready.load(Ordering::Acquire);
-            if ready <= claimed {
-                if !gate.wait_past(claimed, core) {
-                    return;
-                }
-                continue;
-            }
-            limit = ready.min(core.n);
-        }
-        let remaining = limit - claimed;
+        let remaining = core.n - claimed;
         let batch = (remaining / (core.lanes * CLAIM_RATIO)).clamp(1, MAX_BATCH);
         // `fetch_add` hands out disjoint ranges even under contention; a
         // stale `remaining` only mis-sizes the batch, never re-issues an
@@ -545,13 +343,6 @@ fn claim_loop(core: &JobCore<'_>) {
             return;
         }
         let end = (begin + batch).min(core.n);
-        // Racing lanes can push a claim past the watermark; wait for the
-        // producer to publish the whole batch before running it.
-        if let Some(gate) = core.gate {
-            if !gate.wait_past(end - 1, core) {
-                return;
-            }
-        }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             for i in begin..end {
                 (core.f)(i);
@@ -686,7 +477,7 @@ mod tests {
     #[test]
     fn single_lane_pool_is_a_plain_loop() {
         let pool = WorkerPool::new(1);
-        assert_eq!(pool.threads(), 1);
+        assert_eq!(pool.lanes(), 1);
         let got = pool.map(10, |i| i * 3);
         assert_eq!(got, (0..10).map(|i| i * 3).collect::<Vec<_>>());
     }
@@ -732,99 +523,5 @@ mod tests {
     fn dropping_an_idle_pool_joins_workers() {
         let pool = WorkerPool::new(6);
         drop(pool); // must not hang
-    }
-
-    #[test]
-    fn stream_map_matches_fused_serial_for_every_lane_count() {
-        let n = 403usize;
-        let want_items: Vec<u64> = (0..n as u64).map(|k| k * 3 + 1).collect();
-        let want_results: Vec<u64> = want_items.iter().map(|&v| v * v).collect();
-        for threads in 1..=8 {
-            let pool = WorkerPool::new(threads);
-            let (items, results) =
-                pool.stream_map(n, |k| k as u64 * 3 + 1, |_, item: &u64| item * item);
-            assert_eq!(items, want_items, "{threads} lanes");
-            assert_eq!(results, want_results, "{threads} lanes");
-        }
-    }
-
-    #[test]
-    fn stream_map_production_order_is_sequential() {
-        // The producer must be called with 0, 1, 2, ... in order on the
-        // submitting thread, regardless of consumer scheduling.
-        let pool = WorkerPool::new(4);
-        let mut seen = Vec::new();
-        let (items, _) = pool.stream_map(
-            100,
-            |k| {
-                seen.push(k);
-                k
-            },
-            |_, &item| item,
-        );
-        assert_eq!(seen, (0..100).collect::<Vec<_>>());
-        assert_eq!(items, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn stream_map_with_slow_producer_still_completes() {
-        let pool = WorkerPool::new(4);
-        let (_, results) = pool.stream_map(
-            24,
-            |k| {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                k as u32
-            },
-            |_, &item| item + 1,
-        );
-        assert_eq!(results, (1..=24).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn stream_map_consumer_panic_propagates_and_pool_survives() {
-        let pool = WorkerPool::new(4);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.stream_map(
-                64,
-                |k| k,
-                |_, &item| {
-                    assert!(item != 17, "boom at 17");
-                    item
-                },
-            );
-        }));
-        assert!(result.is_err(), "consumer panic must reach the submitter");
-        let got = pool.map(4, |i| i);
-        assert_eq!(got, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn stream_map_producer_panic_propagates_and_pool_survives() {
-        let pool = WorkerPool::new(4);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.stream_map(
-                64,
-                |k| {
-                    assert!(k != 9, "producer boom at 9");
-                    k
-                },
-                |_, &item| item,
-            );
-        }));
-        assert!(result.is_err(), "producer panic must reach the submitter");
-        let got = pool.map(4, |i| i + 1);
-        assert_eq!(got, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn stream_map_reentrant_submission_runs_fused_serial() {
-        let pool = WorkerPool::new(2);
-        let total = AtomicU64::new(0);
-        pool.run(3, |_| {
-            let (items, results) = pool.stream_map(5, |k| k as u64, |_, &item| item * 2);
-            assert_eq!(items, vec![0, 1, 2, 3, 4]);
-            total.fetch_add(results.iter().sum::<u64>(), Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 3 * 20);
     }
 }

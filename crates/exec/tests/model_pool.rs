@@ -3,7 +3,7 @@
 //! Compiled only with `--cfg pilfill_check`, which swaps the pool's
 //! `sync` shim to the shadow primitives of `pilfill-check`. These tests
 //! then run the *actual* pool implementation — `worker_loop`,
-//! `claim_loop`, `ReadyGate`, panic propagation — under many explored
+//! `claim_loop`, slot merging, panic propagation — under many explored
 //! thread schedules with happens-before checking, not a hand-written
 //! transcription of it.
 //!

@@ -96,7 +96,7 @@ pub fn design_hash(design: &Design) -> DesignKey {
 
 /// One in-place design edit, applied server-side against a cached base
 /// design. Edits are the warm path: the server reuses the base's
-/// [`pilfill_core::FlowContext`] through `rebuild` instead of building
+/// [`pilfill_core::FlowContext`] through `rebuild_owned` instead of building
 /// from scratch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EditOp {
@@ -458,17 +458,26 @@ pub enum FrameProgress {
 /// explicit: [`FrameProgress::Idle`] (nothing buffered, fine to treat
 /// as an idle tick) vs [`FrameProgress::Pending`] (mid-frame, keep
 /// polling).
+///
+/// The payload buffer grows as bytes arrive — one 64 KiB chunk to begin
+/// with, then at most doubling what was received — so a length prefix
+/// alone (up to [`MAX_FRAME`]) reserves one chunk, not the declared
+/// length.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     /// Length-prefix bytes received so far.
     len: [u8; 4],
     /// How many bytes of `len` are valid.
     have: usize,
-    /// Payload buffer, allocated once the length prefix is complete.
-    payload: Option<Vec<u8>>,
+    /// Declared payload length, once the length prefix is complete.
+    want: Option<usize>,
     /// Payload bytes received so far.
-    filled: usize,
+    payload: Vec<u8>,
 }
+
+/// Most bytes one [`FrameReader::poll`] read asks for, and the first
+/// payload reservation.
+const READ_CHUNK: usize = 64 << 10;
 
 /// Timeout error kinds a poll tick absorbs (unix reports `WouldBlock`,
 /// Windows `TimedOut`).
@@ -494,7 +503,10 @@ impl FrameReader {
     /// an error the reader's position in the byte stream is undefined —
     /// drop the connection instead of polling again.
     pub fn poll(&mut self, r: &mut dyn Read) -> std::io::Result<FrameProgress> {
-        while self.payload.is_none() {
+        let want = loop {
+            if let Some(want) = self.want {
+                break want;
+            }
             if self.have == self.len.len() {
                 let len = u32::from_le_bytes(self.len);
                 if len > MAX_FRAME {
@@ -503,9 +515,8 @@ impl FrameReader {
                         format!("frame length {len} exceeds cap"),
                     ));
                 }
-                self.payload = Some(vec![0u8; to_usize(len)]);
-                self.filled = 0;
-                break;
+                self.want = Some(to_usize(len));
+                continue;
             }
             match r.read(&mut self.len[self.have..]) {
                 Ok(0) if self.have == 0 => return Ok(FrameProgress::Eof),
@@ -526,32 +537,37 @@ impl FrameReader {
                 }
                 Err(e) => return Err(e),
             }
-        }
-        loop {
-            // The prefix loop above ran to `break` or the payload
-            // survived an earlier Pending poll. pilfill: allow(unwrap)
-            let payload = self.payload.as_mut().expect("payload allocated");
-            if self.filled == payload.len() {
-                break;
+        };
+        while self.payload.len() < want {
+            let start = self.payload.len();
+            if start == self.payload.capacity() {
+                // Geometric growth with what has arrived, one chunk to
+                // begin with, never past the declared length.
+                self.payload
+                    .reserve_exact((want - start).min(start.max(READ_CHUNK)));
             }
-            match r.read(&mut payload[self.filled..]) {
+            let end = self.payload.capacity().min(want).min(start + READ_CHUNK);
+            self.payload.resize(end, 0);
+            let got = match r.read(&mut self.payload[start..]) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::UnexpectedEof,
                         "eof inside a frame payload",
                     ))
                 }
-                Ok(n) => self.filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) if is_read_timeout(&e) => return Ok(FrameProgress::Pending),
+                Ok(n) => n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => 0,
+                Err(e) if is_read_timeout(&e) => {
+                    self.payload.truncate(start);
+                    return Ok(FrameProgress::Pending);
+                }
                 Err(e) => return Err(e),
-            }
+            };
+            self.payload.truncate(start + got);
         }
         self.have = 0;
-        // The loop above only breaks with the payload complete.
-        // pilfill: allow(unwrap)
-        let payload = self.payload.take().expect("complete payload");
-        Ok(FrameProgress::Frame(payload))
+        self.want = None;
+        Ok(FrameProgress::Frame(std::mem::take(&mut self.payload)))
     }
 }
 
@@ -1190,6 +1206,51 @@ mod tests {
         // flight.
         assert!(pending > 0, "mid-frame timeouts must surface as Pending");
         assert!(idle > 0, "boundary timeouts must surface as Idle");
+    }
+
+    #[test]
+    fn declared_max_frame_reserves_one_chunk_until_bytes_arrive() {
+        // A bare length prefix declaring the cap, then a read timeout:
+        // the reader must not reserve the declared 64 MiB up front.
+        let mut wire = MAX_FRAME.to_le_bytes().to_vec();
+        wire.extend_from_slice(b"abc");
+        let mut stream = Stutter {
+            data: wire,
+            pos: 0,
+            ready: false,
+        };
+        let mut reader = FrameReader::new();
+        // One timeout-then-byte step per poll: the prefix, then the
+        // three payload bytes.
+        for _ in 0..8 {
+            let progress = reader.poll(&mut stream).expect("poll");
+            assert!(
+                matches!(progress, FrameProgress::Idle | FrameProgress::Pending),
+                "{progress:?}"
+            );
+            assert!(
+                reader.payload.capacity() <= READ_CHUNK,
+                "reader holds {} bytes after {} received",
+                reader.payload.capacity(),
+                reader.payload.len()
+            );
+        }
+        assert_eq!(reader.want, Some(to_usize(MAX_FRAME)));
+        assert_eq!(reader.payload, b"abc");
+    }
+
+    #[test]
+    fn frames_larger_than_a_chunk_round_trip() {
+        let payload: Vec<u8> = (0..5 * READ_CHUNK + 17).map(|i| (i % 251) as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).expect("write");
+        write_frame(&mut wire, b"next").expect("write");
+        let mut r = &wire[..];
+        assert_eq!(read_frame(&mut r).expect("big frame"), Some(payload));
+        assert_eq!(
+            read_frame(&mut r).expect("next frame"),
+            Some(b"next".to_vec())
+        );
     }
 
     #[test]

@@ -35,8 +35,8 @@ echo "==> perfbench tests"
 cargo test --release --manifest-path perfbench/Cargo.toml
 
 # Concurrency gates. The bounded model checker explores the pool's
-# protocol invariants (epoch publication, cursor claiming, slot merges,
-# gate streaming, panic propagation) under a fixed seed and budget; its
+# protocol invariants (four models: epoch publication, cursor claiming,
+# slot merges, panic propagation) under a fixed seed and budget; its
 # JSON report lands next to lint-report.json. The three concurrency
 # audit rules (unsafe-no-safety-comment, atomic-ordering, layering)
 # already gate above as part of the pilfill-audit lint step.
