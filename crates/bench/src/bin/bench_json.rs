@@ -57,6 +57,7 @@ use pilfill_layout::synth::{synthesize, SynthConfig};
 use pilfill_layout::{Design, LayerId};
 use pilfill_prng::rngs::StdRng;
 use pilfill_prng::SeedableRng;
+use std::time::Duration;
 
 const DEFAULT_OUT: &str = "BENCH_pr9.json";
 
@@ -162,7 +163,7 @@ fn narrowest_net(design: &Design, tile: i64) -> usize {
 fn serve_load_metrics(quick: bool) -> Vec<(&'static str, u64)> {
     use pilfill_serve::protocol::{design_hash, DesignRef, EditOp, FillParams, FillStatus, Reply};
     use pilfill_serve::{Client, ServeOptions, Server};
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     let sock =
         std::env::temp_dir().join(format!("pilfill-bench-serve-{}.sock", std::process::id()));
@@ -394,6 +395,22 @@ fn main() {
         ctx.run(&cfg, &IlpTwo).expect("run")
     });
 
+    // The warm served reply: every tile solved once, then the cached
+    // per-tile counts replayed through `finish_run` (assembly, density
+    // and delay evaluation), cloned per call as the fill service does.
+    let solved: Vec<Vec<u32>> = (0..ctx.problems().len())
+        .map(|i| ctx.solve_tile(&cfg, &IlpTwo, i).expect("solve").0)
+        .collect();
+    let replay = || {
+        let per_tile = solved
+            .iter()
+            .enumerate()
+            .map(|(i, counts)| (i, counts.clone(), Duration::ZERO))
+            .collect();
+        ctx.finish_run(IlpTwo.name(), per_tile).expect("finish")
+    };
+    h.bench("flow/finish_run_ilp2_t2", 2 * samples + 1, 4, replay);
+
     let pool = WorkerPool::new(
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     );
@@ -421,6 +438,8 @@ fn main() {
         let (_, build_allocs) =
             alloc_count::count(|| FlowContext::build(t2, &cfg).expect("context"));
         allocs.push(("allocs/context_build_t2", build_allocs));
+        let (_, replay_allocs) = alloc_count::count(replay);
+        allocs.push(("allocs/finish_run_ilp2_t2", replay_allocs));
         // Warm-scratch hot paths: after one priming call both must run
         // allocation-free (the scan emits into a retained Vec, the density
         // fold into retained area/prefix buffers).

@@ -1,8 +1,6 @@
 //! A small hand-rolled argument parser: subcommand, positionals,
 //! `--key value` options and `--flag` booleans. No external dependencies.
 
-use std::collections::HashMap;
-
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Args {
@@ -10,10 +8,9 @@ pub struct Args {
     pub command: String,
     /// Positional arguments after the subcommand.
     pub positional: Vec<String>,
-    /// `--key value` options.
-    options: HashMap<String, String>,
-    /// Bare `--flag`s.
-    flags: Vec<String>,
+    /// `--key value` options (`Some(value)`) and bare `--flag`s (`None`),
+    /// in argument order.
+    named: Vec<(String, Option<String>)>,
 }
 
 /// Error from argument parsing or validation.
@@ -36,6 +33,13 @@ pub enum ArgError {
     Required(&'static str),
     /// A required positional argument is absent.
     MissingPositional(&'static str),
+    /// An option or flag the command does not read.
+    UnknownOption {
+        /// The subcommand.
+        command: String,
+        /// The offending name, without the leading `--`.
+        option: String,
+    },
 }
 
 impl std::fmt::Display for ArgError {
@@ -52,6 +56,12 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingPositional(name) => {
                 write!(f, "missing required argument <{name}>")
             }
+            ArgError::UnknownOption { command, option } => {
+                write!(
+                    f,
+                    "unknown option --{option} for `{command}` (try `pilfill help`)"
+                )
+            }
         }
     }
 }
@@ -60,14 +70,7 @@ impl std::error::Error for ArgError {}
 
 /// Flags that never take a value (everything else consumes the next
 /// token as its value).
-const BOOLEAN_FLAGS: &[&str] = &[
-    "weighted",
-    "help",
-    "quiet",
-    "lp-budget",
-    "by-hash",
-    "shutdown",
-];
+const BOOLEAN_FLAGS: &[&str] = &["weighted", "help", "lp-budget", "by-hash", "shutdown"];
 
 impl Args {
     /// Parses raw arguments (excluding the program name).
@@ -86,16 +89,15 @@ impl Args {
         let mut iter = raw.into_iter().map(Into::into).peekable();
         while let Some(tok) = iter.next() {
             if let Some(name) = tok.strip_prefix("--") {
-                if BOOLEAN_FLAGS.contains(&name) {
-                    out.flags.push(name.to_string());
+                let value = if BOOLEAN_FLAGS.contains(&name) {
+                    None
                 } else {
-                    match iter.next() {
-                        Some(v) => {
-                            out.options.insert(name.to_string(), v);
-                        }
-                        None => return Err(ArgError::MissingValue(name.to_string())),
-                    }
-                }
+                    Some(
+                        iter.next()
+                            .ok_or_else(|| ArgError::MissingValue(name.to_string()))?,
+                    )
+                };
+                out.named.push((name.to_string(), value));
             } else if out.command.is_empty() {
                 out.command = tok;
             } else {
@@ -103,7 +105,7 @@ impl Args {
             }
         }
         if out.command.is_empty() {
-            if out.flags.iter().any(|f| f == "help") {
+            if out.flag("help") {
                 out.command = "help".into();
                 return Ok(out);
             }
@@ -112,14 +114,37 @@ impl Args {
         Ok(out)
     }
 
-    /// `true` if `--flag` was given.
-    pub fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
+    /// Rejects any option or flag outside `known` (names without the
+    /// leading `--`, given as groups so commands can share a vocabulary).
+    /// `--help` is known to every command.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::UnknownOption`] naming the first unknown option in
+    /// argument order.
+    pub fn check_known(&self, known: &[&[&str]]) -> Result<(), ArgError> {
+        let is_known = |name: &str| name == "help" || known.iter().any(|g| g.contains(&name));
+        match self.named.iter().find(|(name, _)| !is_known(name)) {
+            Some((name, _)) => Err(ArgError::UnknownOption {
+                command: self.command.clone(),
+                option: name.clone(),
+            }),
+            None => Ok(()),
+        }
     }
 
-    /// The raw value of `--name`, if present.
+    /// `true` if `--flag` was given.
+    pub fn flag(&self, name: &str) -> bool {
+        self.named.iter().any(|(n, v)| n == name && v.is_none())
+    }
+
+    /// The raw value of `--name`, if present (the last one if repeated).
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.options.get(name).map(String::as_str)
+        self.named
+            .iter()
+            .rev()
+            .find(|(n, _)| n == name)
+            .and_then(|(_, v)| v.as_deref())
     }
 
     /// A required string option.
@@ -201,6 +226,37 @@ mod tests {
     fn bare_help_flag_becomes_help_command() {
         let a = Args::parse(["--help"]).expect("parse");
         assert_eq!(a.command, "help");
+    }
+
+    #[test]
+    fn unknown_options_and_flags_are_named() {
+        let known: &[&[&str]] = &[&["window", "r"], &["weighted"]];
+        let ok = Args::parse(["fill", "d", "--r", "2", "--weighted", "--help"]).expect("parse");
+        assert_eq!(ok.check_known(known), Ok(()));
+        // A removed boolean flag swallows the next token as its value; it
+        // is still the first unknown name.
+        let a = Args::parse(["fill", "d", "--no-streamed", "--bogus", "3"]).expect("parse");
+        assert_eq!(
+            a.check_known(known),
+            Err(ArgError::UnknownOption {
+                command: "fill".into(),
+                option: "no-streamed".into(),
+            })
+        );
+        // A flag known to another command is unknown here.
+        let a = Args::parse(["fill", "d", "--window", "8", "--by-hash"]).expect("parse");
+        let err = a.check_known(known).expect_err("unknown flag");
+        assert_eq!(
+            err.to_string(),
+            "unknown option --by-hash for `fill` (try `pilfill help`)"
+        );
+    }
+
+    #[test]
+    fn repeated_option_keeps_the_last_value() {
+        let a = Args::parse(["x", "--r", "2", "--r", "4"]).expect("parse");
+        assert_eq!(a.get("r"), Some("4"));
+        assert!(!a.flag("r"));
     }
 
     #[test]

@@ -80,19 +80,76 @@ fn tool_err(e: impl std::fmt::Display) -> CliError {
 ///
 /// Any [`CliError`]; the binary prints it and exits non-zero.
 pub fn dispatch(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    match args.command.as_str() {
-        "help" => help(out).map_err(Into::into),
-        "synth" => synth(args, out),
-        "stats" => stats(args, out),
-        "density" => density(args, out),
-        "fill" => fill(args, out),
-        "serve" => serve(args, out),
-        "request" => request(args, out),
-        "export" => export(args, out),
-        "verify" => verify(args, out),
-        other => Err(CliError::UnknownCommand(other.to_string())),
+    let (known, command) =
+        lookup(&args.command).ok_or_else(|| CliError::UnknownCommand(args.command.clone()))?;
+    args.check_known(known)?;
+    if args.flag("help") {
+        return help(out).map_err(Into::into);
     }
+    command(args, out)
 }
+
+/// A subcommand's entry point.
+type Command = fn(&Args, &mut dyn Write) -> Result<(), CliError>;
+
+/// The subcommand `name` with the options and flags it reads; anything
+/// else on its command line is rejected before it runs.
+fn lookup(name: &str) -> Option<(&'static [&'static [&'static str]], Command)> {
+    Some(match name {
+        "help" => (&[], |_, out| help(out).map_err(Into::into)),
+        "synth" => (&[&["preset", "seed", "out", "svg"]], synth),
+        "stats" => (&[], stats),
+        "density" => (&[&["window", "r", "svg"]], density),
+        "fill" => (
+            &[FLOW_OPTIONS, &["method", "threads", "gds", "svg", "csv"]],
+            fill,
+        ),
+        "serve" => (
+            &[&[
+                "listen",
+                "threads",
+                "quota",
+                "max-inflight",
+                "cache",
+                "design-cache",
+                "max-conns",
+            ]],
+            serve,
+        ),
+        "request" => (
+            &[
+                FLOW_OPTIONS,
+                &[
+                    "connect",
+                    "method",
+                    "edit",
+                    "by-hash",
+                    "repeat",
+                    "dump",
+                    "timeout-ms",
+                    "shutdown",
+                ],
+            ],
+            request,
+        ),
+        "export" => (&[&["gds"]], export),
+        "verify" => (&[&["gds"]], verify),
+        _ => return None,
+    })
+}
+
+/// The fill-flow options [`flow_config`] reads, shared by `fill` and
+/// `request`.
+const FLOW_OPTIONS: &[&str] = &[
+    "window",
+    "r",
+    "def",
+    "seed",
+    "max-density",
+    "weighted",
+    "lp-budget",
+    "layer",
+];
 
 fn help(out: &mut dyn Write) -> std::io::Result<()> {
     writeln!(
@@ -109,7 +166,8 @@ COMMANDS:
   density  <design.pfl> [--window DBU] [--r N] [--svg heat.svg]
            fixed r-dissection window density analysis
   fill     <design.pfl> [--window DBU] [--r N] [--method normal|greedy|ilp1|ilp2|dp]
-           [--def 1|2|3] [--max-density F] [--weighted]
+           [--def 1|2|3] [--seed N] [--max-density F] [--weighted] [--lp-budget]
+           [--layer NAME]
            [--threads N] (0 = auto-detect available parallelism; default)
            [--gds out.gds] [--svg out.svg] [--csv report.csv]
            run timing-aware fill and report the delay impact
@@ -120,7 +178,8 @@ COMMANDS:
   request  <design.pfl> --connect <host:port|unix:PATH>
            [--window DBU] [--r N] [--method normal|greedy|ilp1|ilp2|dp]
            [--def 1|2|3] [--seed N] [--max-density F] [--weighted] [--lp-budget]
-           [--edit dup-sink:NET|widen:NET,SEG,DELTA[+more]] [--by-hash]
+           [--layer NAME] [--edit dup-sink:NET|widen:NET,SEG,DELTA[+more]]
+           [--by-hash]
            [--repeat K] [--dump blob.bin] [--timeout-ms N] [--shutdown]
            send a fill request to a running service; with --shutdown and
            no design, just stop the service
@@ -128,7 +187,9 @@ COMMANDS:
            export drawn metal to GDSII (without fill)
   verify   <design.pfl> --gds filled.gds
            DRC-check the fill in a GDSII stream against the design rules
-  help     show this text"
+  help     show this text (also `--help` after any command)
+
+Any other option is an error (exit code 2)."
     )
 }
 
@@ -589,6 +650,62 @@ mod tests {
         let text = run(&["help"]).expect("help");
         for cmd in ["synth", "stats", "density", "fill", "export"] {
             assert!(text.contains(cmd), "help must mention {cmd}");
+        }
+    }
+
+    #[test]
+    fn unknown_options_fail_before_the_command_runs() {
+        for tokens in [
+            &["fill", "d.pfl", "--no-streamed", "--method", "greedy"][..],
+            &["fill", "d.pfl", "--bogus", "3"],
+            &[
+                "request",
+                "d.pfl",
+                "--connect",
+                "unix:/none",
+                "--threads",
+                "2",
+            ],
+            &["stats", "d.pfl", "--window", "8000"],
+        ] {
+            // `d.pfl` does not exist: an Io error would mean the command ran.
+            match run(tokens) {
+                Err(CliError::Args(ArgError::UnknownOption { command, .. })) => {
+                    assert_eq!(command, tokens[0]);
+                }
+                other => panic!("{tokens:?}: expected an unknown option, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn help_documents_exactly_the_options_each_command_reads() {
+        let text = run(&["help"]).expect("help");
+        // Usage blocks: a line `  <command> ...` plus its deeper-indented
+        // continuation lines, up to the next command.
+        let mut blocks: Vec<(String, String)> = Vec::new();
+        for line in text.lines().filter(|l| l.starts_with("  ")) {
+            if let Some(name) = line[2..].split(' ').next().filter(|n| !n.is_empty()) {
+                blocks.push((name.to_string(), String::new()));
+            }
+            let (_, block) = blocks.last_mut().expect("a command line comes first");
+            block.push(' ');
+            block.push_str(line);
+        }
+        assert_eq!(blocks.len(), 9, "{blocks:?}");
+        for (name, block) in blocks {
+            let (known, _) = lookup(&name).expect("documented command exists");
+            let mut documented: Vec<&str> = block
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|w| w.strip_prefix("--"))
+                .filter(|w| *w != "help")
+                .collect();
+            documented.sort_unstable();
+            documented.dedup();
+            let mut read: Vec<&str> = known.iter().flat_map(|g| g.iter().copied()).collect();
+            read.sort_unstable();
+            read.dedup();
+            assert_eq!(documented, read, "`{name}` usage vs accepted options");
         }
     }
 

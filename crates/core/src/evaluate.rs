@@ -11,8 +11,7 @@
 //! show ILP-I losing to the Normal baseline.
 
 use crate::{ActiveLine, FillFeature, SlackColumn};
-use pilfill_exec::WorkerPool;
-use pilfill_geom::Rect;
+use pilfill_geom::{Coord, Rect};
 use pilfill_layout::{FillRules, NetId, Tech};
 use pilfill_rc::CouplingModel;
 
@@ -65,104 +64,69 @@ impl DelayImpact {
         v.truncate(n);
         v
     }
-}
 
-/// One adjacent line's share of a column's contribution: the Elmore delay
-/// increment, its weighted variant, and the net it charges.
-#[derive(Debug, Clone, Copy)]
-struct LineHit {
-    dtau: f64,
-    weighted_dtau: f64,
-    net: Option<NetId>,
-}
-
-impl LineHit {
-    /// Filler for unused `hits` slots (never folded: `n_hits` bounds the
-    /// walk).
-    const ZERO: Self = Self {
-        dtau: 0.0,
-        weighted_dtau: 0.0,
-        net: None,
-    };
-}
-
-/// The pure, order-independent contribution of one occupied slack column,
-/// as a flat fixed-size record: the sharded evaluator's `pool.map` writes
-/// these into a dense array (one slot per occupied column) that the serial
-/// fold then streams in ascending column order, pinning down the f64
-/// addition sequence. A free column carries only `free`; a column whose
-/// defensive clamp zeroed the count carries nothing; a line-pair column
-/// sets `paired` and fills `dcap` plus `n_hits` adjacent-line delay shares
-/// (below first, then above — the serial iteration order).
-#[derive(Debug, Clone, Copy)]
-struct Contribution {
-    /// `true` for line-pair columns: `dcap` and `hits[..n_hits]` carry
-    /// data.
-    paired: bool,
-    /// Valid prefix length of `hits` (0..=2).
-    n_hits: u8,
-    /// Features in a column with no line pair: zero delay, counted free.
-    free: u64,
-    /// Exact incremental coupling capacitance of the column's line pair.
-    dcap: f64,
-    hits: [LineHit; 2],
-}
-
-impl Contribution {
-    /// A zero record: no free features, no line-pair data.
-    const EMPTY: Self = Self {
-        paired: false,
-        n_hits: 0,
-        free: 0,
-        dcap: 0.0,
-        hits: [LineHit::ZERO; 2],
-    };
-}
-
-/// Computes one column's [`Contribution`] for `m` located features.
-fn column_contribution(
-    col: &SlackColumn,
-    m: u32,
-    lines: &[ActiveLine],
-    model: &CouplingModel,
-    rules: FillRules,
-) -> Contribution {
-    let mut out = Contribution::EMPTY;
-    let Some(d) = col.distance() else {
-        out.free = u64::from(m);
-        return out;
-    };
-    // Defensive clamp: placements from per-tile scans may exceed the
-    // global slot count by a feature or two near tile cuts; never let
-    // the metal close the gap in the model.
-    let max_m = pilfill_geom::units::saturating_count(
-        u64::try_from((d - 1) / rules.feature_size).unwrap_or(0),
-    );
-    let m = m.min(max_m);
-    if m == 0 {
-        return out;
-    }
-    out.paired = true;
-    out.dcap = model.delta_cap_exact(m, d, rules.feature_size);
-    let x = col.feature_x(rules) + rules.feature_size / 2;
-    for idx in [col.below, col.above].into_iter().flatten() {
-        // u32 -> usize is widening on every supported target.
-        let line = &lines[idx as usize]; // pilfill: allow(as-cast)
-        let dtau = out.dcap * line.res_at(x);
-        out.hits[usize::from(out.n_hits)] = LineHit {
-            dtau,
-            weighted_dtau: f64::from(line.weight) * dtau,
-            net: line.net,
+    /// Charges one occupied slack column holding `m` located features:
+    /// the exact `f(m, d)` of its line pair, and the Elmore delay increment
+    /// to each adjacent line (below first, then above) at the column's
+    /// position. A column with no line pair counts its features as free.
+    fn charge_column(
+        &mut self,
+        col: &SlackColumn,
+        m: u32,
+        lines: &[ActiveLine],
+        model: &CouplingModel,
+        rules: FillRules,
+    ) {
+        let Some(d) = col.distance() else {
+            self.free_features += u64::from(m);
+            return;
         };
-        out.n_hits += 1;
+        // Defensive clamp: placements from per-tile scans may exceed the
+        // global slot count by a feature or two near tile cuts; never let
+        // the metal close the gap in the model.
+        let max_m = pilfill_geom::units::saturating_count(
+            u64::try_from((d - 1) / rules.feature_size).unwrap_or(0),
+        );
+        let m = m.min(max_m);
+        if m == 0 {
+            return;
+        }
+        let dcap = model.delta_cap_exact(m, d, rules.feature_size);
+        self.total_cap += dcap;
+        let x = col.feature_x(rules) + rules.feature_size / 2;
+        for idx in [col.below, col.above].into_iter().flatten() {
+            // u32 -> usize is widening on every supported target.
+            let line = &lines[idx as usize]; // pilfill: allow(as-cast)
+            let dtau = dcap * line.res_at(x);
+            self.total_delay += dtau;
+            self.weighted_delay += f64::from(line.weight) * dtau;
+            if let Some(net) = line.net {
+                self.per_net_delay[net.0] += dtau;
+                self.per_net_cap[net.0] += dcap;
+            }
+        }
     }
-    out
+}
+
+/// `true` if `feature` lies in `col`'s site column and gap — the same
+/// test [`locate_feature`](crate::scan::locate_feature) applies, without
+/// the search (`col.x` is the left edge of site column `col.site_x`).
+fn in_column(col: &SlackColumn, feature: FillFeature, pitch: Coord) -> bool {
+    col.x <= feature.x && feature.x - col.x < pitch && col.gap.contains(feature.y)
 }
 
 /// Evaluates `features` against the global slack columns.
 ///
 /// `num_nets` sizes the per-net vector; `bounds`/`rules` must match the
 /// scan that produced `columns`.
+///
+/// Features are located once per run: a flow places each tile column's
+/// features consecutively, so the column that held the previous feature
+/// is tried before a search. The scan's gaps are disjoint within a site
+/// column, so a hit there is the column the search would return, and the
+/// per-column counts do not depend on the feature order. Columns are then
+/// charged in ascending index order, which fixes the f64 addition
+/// sequence.
 pub fn evaluate_placement(
     features: &[FillFeature],
     columns: &[SlackColumn],
@@ -172,127 +136,38 @@ pub fn evaluate_placement(
     rules: FillRules,
     num_nets: usize,
 ) -> DelayImpact {
-    evaluate_impl(
-        features, columns, lines, bounds, tech, rules, num_nets, None,
-    )
-}
-
-/// Like [`evaluate_placement`], but shards the per-column contribution
-/// work across `pool`'s lanes.
-///
-/// Each occupied column's contribution (capacitance, per-line delay
-/// shares) is a pure function of that column alone, computed into its own
-/// slot; the accumulators are then folded serially in global column order,
-/// which replays the exact f64 addition sequence of the serial evaluator.
-/// The result is therefore bit-identical to [`evaluate_placement`] for
-/// every lane count.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_placement_pool(
-    pool: &WorkerPool,
-    features: &[FillFeature],
-    columns: &[SlackColumn],
-    lines: &[ActiveLine],
-    bounds: Rect,
-    tech: &Tech,
-    rules: FillRules,
-    num_nets: usize,
-) -> DelayImpact {
-    evaluate_impl(
-        features,
-        columns,
-        lines,
-        bounds,
-        tech,
-        rules,
-        num_nets,
-        Some(pool),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn evaluate_impl(
-    features: &[FillFeature],
-    columns: &[SlackColumn],
-    lines: &[ActiveLine],
-    bounds: Rect,
-    tech: &Tech,
-    rules: FillRules,
-    num_nets: usize,
-    pool: Option<&WorkerPool>,
-) -> DelayImpact {
-    let model = CouplingModel::new(tech);
+    let pitch = rules.site_pitch();
     let mut counts = vec![0u32; columns.len()];
     let mut unlocated = 0u64;
+    let mut last: Option<usize> = None;
     for &f in features {
-        match crate::scan::locate_feature(columns, bounds, rules, f) {
+        let hit = match last {
+            Some(i) if in_column(&columns[i], f, pitch) => Some(i),
+            _ => crate::scan::locate_feature(columns, bounds, rules, f),
+        };
+        match hit {
             Some(i) => counts[i] += 1,
             None => unlocated += 1,
         }
+        last = hit.or(last);
     }
 
-    // The fold is serial in both modes and always runs in ascending
-    // column order, so the f64 accumulation sequence is fixed by the
-    // column index, never by scheduling.
-    let mut total = 0.0;
-    let mut weighted = 0.0;
-    let mut total_cap = 0.0;
-    let mut free = 0u64;
-    let mut per_net = vec![0.0f64; num_nets];
-    let mut per_net_cap = vec![0.0f64; num_nets];
-    {
-        let mut fold = |c: Contribution| {
-            free += c.free;
-            if !c.paired {
-                return;
-            }
-            total_cap += c.dcap;
-            for hit in &c.hits[..usize::from(c.n_hits)] {
-                total += hit.dtau;
-                weighted += hit.weighted_dtau;
-                if let Some(net) = hit.net {
-                    per_net[net.0] += hit.dtau;
-                    per_net_cap[net.0] += c.dcap;
-                }
-            }
-        };
-        match pool {
-            Some(pool) if pool.lanes() > 1 => {
-                // Dense worklist of occupied columns, ascending; each pure
-                // contribution lands in its own disjoint slot before the
-                // ordered fold replays the serial addition sequence.
-                let occupied: Vec<usize> = counts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &m)| m > 0)
-                    .map(|(i, _)| i)
-                    .collect();
-                let contributions = pool.map(occupied.len(), |k| {
-                    let ci = occupied[k];
-                    column_contribution(&columns[ci], counts[ci], lines, &model, rules)
-                });
-                contributions.into_iter().for_each(&mut fold);
-            }
-            // Serial (no pool, or a 1-lane one): stream each contribution
-            // straight into the fold, no worklist or slot vector.
-            _ => counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &m)| m > 0)
-                .for_each(|(ci, &m)| {
-                    fold(column_contribution(&columns[ci], m, lines, &model, rules))
-                }),
+    let model = CouplingModel::new(tech);
+    let mut impact = DelayImpact {
+        total_delay: 0.0,
+        weighted_delay: 0.0,
+        total_cap: 0.0,
+        free_features: 0,
+        unlocated_features: unlocated,
+        per_net_delay: vec![0.0; num_nets],
+        per_net_cap: vec![0.0; num_nets],
+    };
+    for (col, &m) in columns.iter().zip(&counts) {
+        if m > 0 {
+            impact.charge_column(col, m, lines, &model, rules);
         }
     }
-
-    DelayImpact {
-        total_delay: total,
-        weighted_delay: weighted,
-        total_cap,
-        free_features: free,
-        unlocated_features: unlocated,
-        per_net_delay: per_net,
-        per_net_cap,
-    }
+    impact
 }
 
 #[cfg(test)]
@@ -458,48 +333,51 @@ mod tests {
     }
 
     #[test]
-    fn sharded_evaluation_is_bit_identical_for_every_shard_count() {
+    fn feature_order_does_not_change_the_evaluation() {
+        use crate::flow::{FlowConfig, FlowContext};
+        use crate::methods::IlpTwo;
         use pilfill_layout::synth::{synthesize, SynthConfig};
-        // A dense placement on a seeded synthetic design: one feature in
-        // every slot of every column, so every contribution variant
-        // (paired, boundary-free) is exercised.
-        let d = synthesize(&SynthConfig::small_test(7));
-        let lines = extract_active_lines(&d, LayerId(0)).expect("lines");
-        let columns = scan_slack_columns(&lines, d.die, d.rules);
-        let features: Vec<FillFeature> = columns
-            .iter()
-            .flat_map(|c| {
-                c.slots.iter().map(|y| FillFeature {
-                    x: c.feature_x(d.rules),
-                    y,
+        use pilfill_prng::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xE7A1);
+        for seed in [3, 7, 11] {
+            let d = synthesize(&SynthConfig::small_test(seed));
+            let config = FlowConfig::new(8_000, 2).expect("config");
+            let ctx = FlowContext::build(&d, &config).expect("context");
+            let outcome = ctx.run(&config, &IlpTwo).expect("run");
+            let frame = ctx.frame_design();
+            let eval = |features: &[FillFeature]| {
+                evaluate_placement(
+                    features,
+                    ctx.columns(),
+                    ctx.lines(),
+                    frame.die,
+                    &frame.tech,
+                    frame.rules,
+                    frame.nets.len(),
+                )
+            };
+            // The flow's tile-ordered list is what the run evaluated.
+            let mut features = outcome.features.clone();
+            assert!(features.len() > 50, "seed {seed}: too little fill");
+            assert_eq!(eval(&features), outcome.impact, "seed {seed}");
+            // Add features inside lines (unlocated), then shuffle
+            // (Fisher-Yates) so almost no feature follows its column.
+            let unlocated: Vec<FillFeature> = ctx
+                .lines()
+                .iter()
+                .take(5)
+                .map(|l| FillFeature {
+                    x: l.rect.left,
+                    y: l.rect.bottom,
                 })
-            })
-            .collect();
-        assert!(features.len() > 100, "dense placement expected");
-        let serial = evaluate_placement(
-            &features,
-            &columns,
-            &lines,
-            d.die,
-            &d.tech,
-            d.rules,
-            d.nets.len(),
-        );
-        for shards in 1..=8 {
-            let pool = WorkerPool::new(shards);
-            let sharded = evaluate_placement_pool(
-                &pool,
-                &features,
-                &columns,
-                &lines,
-                d.die,
-                &d.tech,
-                d.rules,
-                d.nets.len(),
-            );
-            // Bit-identical, including every f64 accumulator: the fold
-            // order is the column order regardless of shard count.
-            assert_eq!(serial, sharded, "{shards} shards");
+                .collect();
+            features.extend(&unlocated);
+            let ordered = eval(&features);
+            assert_eq!(ordered.unlocated_features, unlocated.len() as u64);
+            for i in (1..features.len()).rev() {
+                features.swap(i, rng.gen_range(0..=i));
+            }
+            assert_eq!(eval(&features), ordered, "seed {seed}: shuffled");
         }
     }
 

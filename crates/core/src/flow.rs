@@ -5,9 +5,9 @@
 use crate::methods::{FillMethod, MethodError};
 use crate::{
     build_slab_problems, build_tile_problems_pool, def_three_capacities, evaluate_placement,
-    evaluate_placement_pool, extract_net_lines_with, extract_obstruction_lines, scan_site_columns,
-    scan_slack_columns_into, site_column_count, slab_ranges, ActiveLine, DelayImpact,
-    ExtractScratch, FillFeature, ScanScratch, SlackColumn, SlackColumnDef, TileProblem,
+    extract_net_lines_with, extract_obstruction_lines, scan_site_columns, scan_slack_columns_into,
+    site_column_count, slab_ranges, ActiveLine, DelayImpact, ExtractScratch, FillFeature,
+    ScanScratch, SlackColumn, SlackColumnDef, TileProblem,
 };
 use pilfill_density::{
     lp_budget, montecarlo_budget, BudgetError, DensityAnalysis, DensityMap, DissectionError,
@@ -424,9 +424,9 @@ impl<'d> FlowContext<'d> {
     /// Runs one placement method against the prepared context on the
     /// caller's [`WorkerPool`]. Tiles are claimed dynamically (one
     /// expensive tile does not serialize a static chunk of followers),
-    /// each writes its own result slot, and the delay evaluation is
-    /// sharded by slack column; results are folded in tile order, so the
-    /// outcome is bit-identical for every lane count.
+    /// each writes its own result slot, and results are folded in tile
+    /// order before the serial delay evaluation, so the outcome is
+    /// bit-identical for every lane count.
     ///
     /// # Errors
     ///
@@ -446,7 +446,7 @@ impl<'d> FlowContext<'d> {
             let (counts, elapsed) = result?;
             per_tile.push((i, counts, elapsed));
         }
-        self.assemble(method.name(), per_tile, Some(pool))
+        self.assemble(method.name(), per_tile)
     }
 
     /// Solves the single tile at row-major index `index` — budget lookup,
@@ -486,20 +486,22 @@ impl<'d> FlowContext<'d> {
         method_name: &'static str,
         per_tile: Vec<(usize, Vec<u32>, Duration)>,
     ) -> Result<FlowOutcome, FlowError> {
-        self.assemble(method_name, per_tile, None)
+        self.assemble(method_name, per_tile)
     }
 
-    /// Merges per-tile assignments into features, density and impact. With
-    /// a pool, the delay evaluation shards its per-column work across the
-    /// lanes (same result — the accumulator fold order is fixed).
+    /// Merges per-tile assignments into features, density and impact.
     fn assemble(
         &self,
         method_name: &'static str,
         per_tile: Vec<(usize, Vec<u32>, Duration)>,
-        pool: Option<&WorkerPool>,
     ) -> Result<FlowOutcome, FlowError> {
         let design: &Design = &self.frame_design;
-        let mut features: Vec<FillFeature> = Vec::new();
+        let placed_total: usize = per_tile
+            .iter()
+            .flat_map(|(_, counts, _)| counts)
+            .map(|&m| units::index(i64::from(m)))
+            .sum();
+        let mut features: Vec<FillFeature> = Vec::with_capacity(placed_total);
         let mut placed = 0u64;
         let mut shortfall = 0u64;
         let mut density_after_map = self.density_map.clone();
@@ -528,27 +530,15 @@ impl<'d> FlowContext<'d> {
         // per tile.
         density_after_map.add_tile_areas(area_deltas);
 
-        let impact = match pool {
-            Some(pool) => evaluate_placement_pool(
-                pool,
-                &features,
-                &self.columns,
-                &self.lines,
-                design.die,
-                &design.tech,
-                design.rules,
-                design.nets.len(),
-            ),
-            None => evaluate_placement(
-                &features,
-                &self.columns,
-                &self.lines,
-                design.die,
-                &design.tech,
-                design.rules,
-                design.nets.len(),
-            ),
-        };
+        let impact = evaluate_placement(
+            &features,
+            &self.columns,
+            &self.lines,
+            design.die,
+            &design.tech,
+            design.rules,
+            design.nets.len(),
+        );
 
         // Report features in the caller's frame.
         if self.transposed {

@@ -48,7 +48,7 @@ mod scan;
 mod tile;
 pub mod verify;
 
-pub use evaluate::{evaluate_placement, evaluate_placement_pool, DelayImpact};
+pub use evaluate::{evaluate_placement, DelayImpact};
 pub use flow::{
     run_flow, run_flow_streamed, FlowConfig, FlowContext, FlowError, FlowOutcome, RebuildDirt,
     RebuildStats,

@@ -760,8 +760,33 @@ pub fn scan_slack_columns_reference(
 /// column (e.g. inside a line or out of bounds).
 ///
 /// `columns` must be the unmodified result of [`scan_slack_columns`] for
-/// the same `bounds` and `rules`.
+/// the same `bounds` and `rules`: the scan emits non-empty, disjoint gaps
+/// in ascending `(site_x, gap.lo)` order, so the only column that can hold
+/// the feature is the last one whose key is at most `(site_x, y)`, found
+/// by one binary search.
 pub fn locate_feature(
+    columns: &[SlackColumn],
+    bounds: Rect,
+    rules: FillRules,
+    feature: FillFeature,
+) -> Option<usize> {
+    if feature.x < bounds.left || feature.y < bounds.bottom {
+        return None;
+    }
+    let site_x = units::index((feature.x - bounds.left) / rules.site_pitch());
+    let key = (site_x, feature.y);
+    let i = columns
+        .partition_point(|c| (c.site_x, c.gap.lo) <= key)
+        .checked_sub(1)?;
+    let c = &columns[i];
+    (c.site_x == site_x && c.gap.contains(feature.y)).then_some(i)
+}
+
+/// The linear-walk locator [`locate_feature`] replaced: a binary search
+/// on `site_x` alone, then a scan of that site column's gaps. Kept as the
+/// test oracle for the two-key search.
+#[cfg(test)]
+pub(crate) fn locate_feature_linear(
     columns: &[SlackColumn],
     bounds: Rect,
     rules: FillRules,
@@ -772,7 +797,6 @@ pub fn locate_feature(
         return None;
     }
     let site_x = pilfill_geom::units::index((feature.x - bounds.left) / pitch);
-    // Binary search the sorted (site_x, gap.lo) order.
     let start = columns.partition_point(|c| c.site_x < site_x);
     columns[start..]
         .iter()
@@ -1032,6 +1056,100 @@ mod tests {
         // Out of bounds.
         let out = FillFeature { x: -10, y: 0 };
         assert_eq!(locate_feature(&cols, bounds, rules(), out), None);
+    }
+
+    /// Scans of seeded synthetic designs, one per seed, for the
+    /// properties the locators rely on.
+    fn random_scans() -> Vec<(Rect, FillRules, Vec<ActiveLine>, Vec<SlackColumn>)> {
+        use pilfill_layout::synth::{synthesize, SynthConfig};
+        (1..=12)
+            .map(|seed| {
+                let d = synthesize(&SynthConfig::small_test(seed));
+                let lines =
+                    crate::extract_active_lines(&d, pilfill_layout::LayerId(0)).expect("lines");
+                let columns = scan_slack_columns(&lines, d.die, d.rules);
+                (d.die, d.rules, lines, columns)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scan_gaps_are_non_empty_ascending_and_disjoint_per_site_column() {
+        for (bounds, rules, _, cols) in random_scans() {
+            assert!(!cols.is_empty());
+            for c in &cols {
+                assert!(!c.gap.is_empty(), "empty gap {c:?}");
+                assert!(c.gap.lo >= bounds.bottom && c.gap.hi <= bounds.top, "{c:?}");
+                assert_eq!(
+                    c.x,
+                    bounds.left + units::coord(c.site_x) * rules.site_pitch()
+                );
+            }
+            for w in cols.windows(2) {
+                let (a, b) = (&w[0], &w[1]);
+                assert!(a.site_x <= b.site_x, "site order {a:?} {b:?}");
+                if a.site_x == b.site_x {
+                    // Strictly ascending and disjoint: the next gap starts
+                    // at or above the previous one's (exclusive) top.
+                    assert!(a.gap.hi <= b.gap.lo, "overlap {a:?} {b:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_key_search_matches_the_linear_walk() {
+        use pilfill_prng::{Rng, SeedableRng};
+        let mut rng = pilfill_prng::rngs::StdRng::seed_from_u64(0x10CA7E);
+        for (bounds, rules, lines, cols) in random_scans() {
+            let pitch = rules.site_pitch();
+            let mut probes = Vec::new();
+            // In-gap: both ends, the middle and every slot of each gap, at
+            // the feature x and at both edges of the site column.
+            for c in &cols {
+                let ys = [c.gap.lo, c.gap.hi - 1, (c.gap.lo + c.gap.hi) / 2];
+                for x in [c.feature_x(rules), c.x, c.x + pitch - 1] {
+                    for y in ys.into_iter().chain(c.slots.iter()) {
+                        probes.push(FillFeature { x, y });
+                    }
+                }
+            }
+            // In-line: corners and interior points of every line.
+            for l in &lines {
+                let r = l.rect;
+                for (x, y) in [
+                    (r.left, r.bottom),
+                    (r.right - 1, r.top - 1),
+                    ((r.left + r.right) / 2, (r.bottom + r.top) / 2),
+                ] {
+                    probes.push(FillFeature { x, y });
+                }
+            }
+            // Out of bounds on every side, plus uniform points over and
+            // around the die.
+            let (w, h) = (bounds.width(), bounds.height());
+            for (x, y) in [
+                (bounds.left - 1, bounds.bottom),
+                (bounds.left, bounds.bottom - 1),
+                (bounds.right, bounds.bottom),
+                (bounds.left, bounds.top),
+                (bounds.right + pitch, bounds.top + pitch),
+            ] {
+                probes.push(FillFeature { x, y });
+            }
+            for _ in 0..2_000 {
+                let x = bounds.left + rng.gen_range(-w / 8..w + w / 8);
+                let y = bounds.bottom + rng.gen_range(-h / 8..h + h / 8);
+                probes.push(FillFeature { x, y });
+            }
+            let mut located = 0;
+            for f in probes {
+                let want = locate_feature_linear(&cols, bounds, rules, f);
+                assert_eq!(locate_feature(&cols, bounds, rules, f), want, "{f:?}");
+                located += usize::from(want.is_some());
+            }
+            assert!(located > 0);
+        }
     }
 
     #[test]

@@ -85,23 +85,21 @@ impl Design {
     }
 }
 
+/// Line-at-a-time tokenizer: comments are stripped, blank lines skipped,
+/// and each line's tokens are borrowed from the text into one reused
+/// buffer.
 struct Parser<'a> {
-    lines: Vec<(usize, Vec<&'a str>)>,
-    pos: usize,
+    lines: std::iter::Enumerate<std::str::Lines<'a>>,
+    /// Tokens of the current line.
+    toks: Vec<&'a str>,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        let lines = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| {
-                let content = l.split('#').next().unwrap_or("");
-                (i + 1, content.split_whitespace().collect::<Vec<_>>())
-            })
-            .filter(|(_, toks)| !toks.is_empty())
-            .collect();
-        Self { lines, pos: 0 }
+        Self {
+            lines: text.lines().enumerate(),
+            toks: Vec::new(),
+        }
     }
 
     fn err(&self, line: usize, message: impl Into<String>) -> LayoutError {
@@ -111,10 +109,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn next(&mut self) -> Option<(usize, Vec<&'a str>)> {
-        let item = self.lines.get(self.pos)?;
-        self.pos += 1;
-        Some((item.0, item.1.clone()))
+    /// Advances to the next non-blank line, leaving its tokens in
+    /// `self.toks`, and returns its 1-based line number.
+    fn next(&mut self) -> Option<usize> {
+        for (i, l) in self.lines.by_ref() {
+            let content = l.split('#').next().unwrap_or("");
+            self.toks.clear();
+            self.toks.extend(content.split_whitespace());
+            if !self.toks.is_empty() {
+                return Some(i + 1);
+            }
+        }
+        None
     }
 
     fn parse_coord(&self, line: usize, tok: &str) -> Result<Coord, LayoutError> {
@@ -128,8 +134,8 @@ impl<'a> Parser<'a> {
     }
 
     fn parse(mut self) -> Result<Design, LayoutError> {
-        let (line, toks) = self.next().ok_or_else(|| self.err(1, "empty input"))?;
-        if toks != ["PILFILL", "1"] {
+        let line = self.next().ok_or_else(|| self.err(1, "empty input"))?;
+        if self.toks != ["PILFILL", "1"] {
             return Err(self.err(line, "expected header `PILFILL 1`"));
         }
 
@@ -143,7 +149,8 @@ impl<'a> Parser<'a> {
         let mut current: Option<Net> = None;
         let mut ended = false;
 
-        while let Some((line, toks)) = self.next() {
+        while let Some(line) = self.next() {
+            let toks = &self.toks;
             match toks[0] {
                 "DESIGN" => {
                     name = toks
